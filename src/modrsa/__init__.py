@@ -3,7 +3,8 @@
 The library splits into four parts:
 
 - modmath: residue arithmetic, Euclid and extended Euclid, fast powers,
-  square-free tests, critical exponents, CRT coordinates
+  trial-division factoring with phi and square-free tests, critical
+  exponents, CRT coordinates
 - oracle: deliberately naive mirrors of the above, used as ground truth
 - rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify
 - cli / keyfile: command-line front end and the flat key file format

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 domain error (not a unit, bad
 primes, malformed key file, and so on). Output is deterministic: single
 values print as bare decimals, vectors as comma-separated values with no
 spaces, tables row-major with a header row. Message vectors are taken
-from an argument or, when omitted, one per line on standard input.
+from an argument or, when omitted, one per line on standard input; stdin
+is processed line by line, so lines before a bad one are answered.
 """
 
 import argparse
@@ -136,16 +137,12 @@ def _cmd_phi(args, stdin, out):
         return
     if len(args.values) != 1:
         raise _UsageError("phi takes exactly one argument: n", args.parser)
-    n = Modulus(args.values[0])
-    result = oracle.phi_brute(n)
+    n = args.values[0]
+    result = modmath.phi(n)
     print(result, file=out)
     if args.check:
-        # independent route: count residues that classify as units
-        units = sum(
-            1 for x in range(n.n)
-            if modmath.classify(modmath.Residue(x, n)) is modmath.ResidueClass.UNIT
-        )
-        _check_line(units == result, units, out)
+        brute = oracle.phi_brute(n)
+        _check_line(brute == result, brute, out)
 
 
 def _cmd_powmod(args, stdin, out):
@@ -159,7 +156,7 @@ def _cmd_powmod(args, stdin, out):
 
 
 def _cmd_critical(args, stdin, out):
-    phi = oracle.phi_brute(Modulus(args.n))
+    phi = modmath.phi(args.n)
     _print_vector(modmath.critical_exponents(args.n, phi, args.count), out)
 
 
@@ -178,12 +175,12 @@ def _cmd_crt(args, stdin, out):
 
 def _cmd_keygen(args, stdin, out):
     pair = rsa.keygen(args.p, args.q, args.e)
-    for name in ("p", "q", "n", "phi", "e", "f"):
-        print(f"{name} = {getattr(pair, name)}", file=out)
     if args.pub:
         write_key_file(args.pub, pair.public_key)
     if args.priv:
         write_key_file(args.priv, pair.private_key)
+    for name in ("p", "q", "n", "phi", "e", "f"):
+        print(f"{name} = {getattr(pair, name)}", file=out)
 
 
 def _load_key(path, want):
@@ -195,62 +192,36 @@ def _load_key(path, want):
 
 
 def _input_messages(args, stdin, n):
-    """Messages from --numbers, a text argument, or stdin (one vector per line)."""
+    """Messages from --numbers, a text argument, or stdin (one vector per line).
+
+    Stdin is read line by line, so each result can be printed before the
+    next line is parsed.
+    """
     if args.numbers is not None and args.text is not None:
         raise _UsageError("give either TEXT or --numbers, not both", args.parser)
     if args.numbers is not None:
-        return [rsa.NumberMessage(args.numbers, n)]
-    if args.text is not None:
-        return [rsa.encode_text(args.text, n)]
-    messages = []
-    for lineno, line in enumerate(stdin, start=1):
-        text = line.strip()
-        try:
-            values = () if not text else tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise DomainError(f"standard input line {lineno}: invalid number vector: {text!r}") from None
-        messages.append(rsa.NumberMessage(values, n))
-    return messages
+        yield rsa.NumberMessage(args.numbers, n)
+    elif args.text is not None:
+        yield rsa.encode_text(args.text, n)
+    else:
+        for lineno, line in enumerate(stdin, start=1):
+            text = line.strip()
+            try:
+                values = () if not text else tuple(int(part) for part in text.split(","))
+            except ValueError:
+                raise DomainError(f"standard input line {lineno}: invalid number vector: {text!r}") from None
+            yield rsa.NumberMessage(values, n)
 
 
-def _input_vectors(args, stdin, n):
-    """Vectors for decrypt/verify: one positional argument or stdin lines."""
-    if args.vector is not None:
-        return [rsa.NumberMessage(args.vector, n)]
-    shim = argparse.Namespace(numbers=None, text=None, parser=args.parser)
-    return _input_messages(shim, stdin, n)
-
-
-def _cmd_encrypt(args, stdin, out):
-    key = _load_key(args.key, rsa.PublicKey)
+def _cmd_power(args, stdin, out):
+    """encrypt, sign, decrypt and verify: raise each message to the key's exponent."""
+    key = _load_key(args.key, args.key_type)
     for msg in _input_messages(args, stdin, key.n):
-        _print_vector(rsa.encrypt(msg, key), out)
-
-
-def _cmd_sign(args, stdin, out):
-    key = _load_key(args.key, rsa.PrivateKey)
-    for msg in _input_messages(args, stdin, key.n):
-        _print_vector(rsa.sign(msg, key), out)
-
-
-def _cmd_decrypt(args, stdin, out):
-    key = _load_key(args.key, rsa.PrivateKey)
-    for msg in _input_vectors(args, stdin, key.n):
-        plain = rsa.decrypt(msg, key)
-        if args.text:
-            print(rsa.decode_text(plain), file=out)
+        result = args.transform(msg, key)
+        if args.decode:
+            print(rsa.decode_text(result), file=out)
         else:
-            _print_vector(plain, out)
-
-
-def _cmd_verify(args, stdin, out):
-    key = _load_key(args.key, rsa.PublicKey)
-    for msg in _input_vectors(args, stdin, key.n):
-        plain = rsa.verify(msg, key)
-        if args.text:
-            print(rsa.decode_text(plain), file=out)
-        else:
-            _print_vector(plain, out)
+            _print_vector(result, out)
 
 
 def _cmd_suggest_primes(args, stdin, out):
@@ -324,25 +295,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", metavar="PATH", help="write the public key file here")
     p.add_argument("--priv", metavar="PATH", help="write the private key file here")
 
-    p = command("encrypt", _cmd_encrypt, "raise message values to the public exponent")
-    p.add_argument("--key", metavar="PUBFILE", required=True)
-    p.add_argument("--numbers", type=_vector, metavar="V1,V2,...")
-    p.add_argument("text", nargs="?", help="message text (A-Z and space)")
-
-    p = command("decrypt", _cmd_decrypt, "raise message values to the private exponent")
-    p.add_argument("--key", metavar="PRIVFILE", required=True)
-    p.add_argument("--text", action="store_true", help="decode the result to letters")
-    p.add_argument("vector", type=_vector, nargs="?", metavar="V1,V2,...")
-
-    p = command("sign", _cmd_sign, "raise message values to the private exponent")
-    p.add_argument("--key", metavar="PRIVFILE", required=True)
-    p.add_argument("--numbers", type=_vector, metavar="V1,V2,...")
-    p.add_argument("text", nargs="?", help="message text (A-Z and space)")
-
-    p = command("verify", _cmd_verify, "raise signed values to the public exponent")
-    p.add_argument("--key", metavar="PUBFILE", required=True)
-    p.add_argument("--text", action="store_true", help="decode the result to letters")
-    p.add_argument("vector", type=_vector, nargs="?", metavar="V1,V2,...")
+    for name, transform, key_type, help in (
+        ("encrypt", rsa.encrypt, rsa.PublicKey, "raise message values to the public exponent"),
+        ("decrypt", rsa.decrypt, rsa.PrivateKey, "raise message values to the private exponent"),
+        ("sign", rsa.sign, rsa.PrivateKey, "raise message values to the private exponent"),
+        ("verify", rsa.verify, rsa.PublicKey, "raise signed values to the public exponent"),
+    ):
+        p = command(name, _cmd_power, help)
+        p.set_defaults(transform=transform, key_type=key_type)
+        p.add_argument("--key", metavar="PUBFILE" if key_type is rsa.PublicKey else "PRIVFILE", required=True)
+        if name in ("encrypt", "sign"):
+            # plain messages: letters to encode, or raw numbers
+            p.set_defaults(decode=False)
+            p.add_argument("--numbers", type=_vector, metavar="V1,V2,...")
+            p.add_argument("text", nargs="?", help="message text (A-Z and space)")
+        else:
+            # transformed vectors, optionally decoded back to letters
+            p.set_defaults(text=None)
+            p.add_argument("--text", action="store_true", dest="decode", help="decode the result to letters")
+            p.add_argument("numbers", type=_vector, nargs="?", metavar="V1,V2,...")
 
     p = command("suggest-primes", _cmd_suggest_primes, "primes in [lo, hi], by trial division")
     p.add_argument("lo", type=_natural)

@@ -20,7 +20,10 @@ _PRIVATE_OPTIONAL = ("p", "q", "phi")
 
 
 def write_key_file(path, key) -> None:
-    """Write a public or private key in the fixed line format."""
+    """Write a public or private key in the fixed line format.
+
+    Raises KeyFileError, naming the path, when the file cannot be written.
+    """
     if isinstance(key, PublicKey):
         pairs = [("kind", "public"), ("n", key.n), ("e", key.e)]
     elif isinstance(key, PrivateKey):
@@ -32,8 +35,11 @@ def write_key_file(path, key) -> None:
     else:
         raise TypeError(f"expected PublicKey or PrivateKey, got {type(key).__name__}")
     text = "".join(f"{k} = {v}\n" for k, v in pairs)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise KeyFileError(f"{path}: cannot write key file ({exc.strerror})") from None
 
 
 def read_key_file(path):

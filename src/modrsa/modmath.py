@@ -5,11 +5,18 @@ The modulus is capped at 2**31 - 1 so that a product of two residues stays
 below 2**62 before reduction; nothing here ever grows an integer beyond
 that, and nothing needs arbitrary precision.
 
+Where the standard library runs the same algorithm it does the work:
+three-argument pow is square-and-multiply, pow(x, -1, n) and math.gcd are
+Euclid. extended_gcd keeps the Euclid table for display. One trial-division
+factoriser, prime_factors, serves primality, square-freeness and phi.
+
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
 """
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -139,18 +146,16 @@ def mul_table(n) -> list[list[Residue]]:
 
 
 def gcd(x: int, y: int) -> int:
-    """Greatest common divisor by iterated remainders.
+    """Greatest common divisor by iterated remainders (math.gcd).
 
-    Each step replaces (x, y) with (y, x mod y), so the inputs shrink and
-    the loop always terminates. gcd(0, y) = y; gcd(0, 0) is undefined.
+    gcd(0, y) = y; gcd(0, 0) is undefined. extended_gcd shows the same
+    remainder sequence as a table.
     """
     if x < 0 or y < 0:
         raise ValueError("gcd is defined for nonnegative integers")
     if x == 0 and y == 0:
         raise UndefinedGcdError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, x % y
-    return x
+    return math.gcd(x, y)
 
 
 class TraceRow(NamedTuple):
@@ -228,19 +233,17 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
 
 
 def inverse(x: Residue) -> Residue:
-    """Multiplicative reciprocal of x, via the extended Euclidean algorithm.
+    """Multiplicative reciprocal of x, in [1, n).
 
-    Finds a*n + b*x = 1 and returns b reduced into [1, n). Raises
-    NotAUnitError, carrying gcd(x, n) as a witness, when no reciprocal
-    exists.
+    Builtin pow(x, -1, n) runs the extended Euclidean algorithm; the
+    table form is extended_gcd. Raises NotAUnitError, carrying gcd(x, n)
+    as a witness, when no reciprocal exists.
     """
     n = x.modulus.n
-    if x.value == 0:
-        raise NotAUnitError(0, n, n)
-    cert, _ = extended_gcd(n, x.value)
-    if cert.g != 1:
-        raise NotAUnitError(x.value, n, cert.g)
-    return Residue(cert.b % n, x.modulus)
+    g = math.gcd(x.value, n)
+    if g != 1:
+        raise NotAUnitError(x.value, n, g)
+    return Residue(pow(x.value, -1, n), x.modulus)
 
 
 def divide(a: Residue, b: Residue) -> Residue:
@@ -269,36 +272,47 @@ def classify(x: Residue) -> ResidueClass:
 def pow_mod(x: Residue, exponent: int) -> Residue:
     """x**exponent by binary square-and-multiply, reducing at every step.
 
-    Intermediate values never reach n**2, so the full integer power is
-    never formed. x**0 is 1 for every x, including 0**0 (empty product).
+    Builtin three-argument pow is that algorithm, so the full integer
+    power is never formed. x**0 is 1 for every x, including 0**0 (empty
+    product).
     """
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    n = x.modulus.n
-    result = 1
-    base = x.value
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base % n
-        base = base * base % n
-        e >>= 1
-    return Residue(result, x.modulus)
+    return Residue(pow(x.value, exponent, x.modulus.n), x.modulus)
+
+
+def prime_factors(n: int):
+    """Prime factors of n >= 1, ascending, with multiplicity.
+
+    Trial division by 2 and then by the odd numbers up to the square root
+    of what is left; a generator, so a caller can stop at the first factor.
+    """
+    if n < 1:
+        raise ValueError("prime factors are defined for n >= 1")
+    for d in itertools.chain((2,), itertools.count(3, 2)):
+        if d * d > n:
+            break
+        while n % d == 0:
+            yield d
+            n //= d
+    if n > 1:
+        yield n
+
+
+def phi(n) -> int:
+    """Number of units modulo n: n times (1 - 1/p) over its distinct primes p."""
+    n = _as_modulus(n).n
+    result = n
+    for p in set(prime_factors(n)):
+        result -= result // p
+    return result
 
 
 def is_square_free(n: int) -> bool:
-    """True when no squared prime divides n, by trial factorization."""
+    """True when no squared prime divides n, i.e. no prime factor repeats."""
     if n < 2:
         raise ValueError("square-freeness is defined for n >= 2")
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return False
-        d += 1
-    return True
+    return all(p != q for p, q in itertools.pairwise(prime_factors(n)))
 
 
 def critical_exponents(n: int, phi: int, count: int) -> list[int]:

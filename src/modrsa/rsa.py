@@ -1,10 +1,12 @@
 """Textbook RSA over small moduli.
 
-Key generation from caller-chosen primes, the 27-symbol letter codec, and
-the encrypt/decrypt/sign/verify protocol, one letter per residue with no
-blocking. Nothing here is secure in any modern sense (no padding, no
-hashing, desk-scale primes); the point is to make the number theory
-visible, not to protect data.
+Key generation from caller-chosen primes (checked by trial division,
+after the modulus bound), the 27-symbol letter codec, and the
+encrypt/decrypt/sign/verify protocol, one letter per residue with no
+blocking. Every message transform is builtin pow applied to each value.
+Nothing here is secure in any modern sense (no padding, no hashing,
+desk-scale primes); the point is to make the number theory visible, not
+to protect data.
 """
 
 from dataclasses import dataclass
@@ -32,15 +34,11 @@ MIN_TEXT_MODULUS = len(ALPHABET) + 1
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by every candidate up to sqrt(n); n < 2 is not prime."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """n is its own smallest prime factor; n < 2 is not prime.
+
+    Trial division stops at the first factor, so composites are cheap.
+    """
+    return n >= 2 and next(modmath.prime_factors(n)) == n
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -49,6 +47,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def _check_prime_pair(p: int, q: int) -> None:
+    # bound the modulus first, so trial division never runs on huge inputs
+    if p * q > modmath.MAX_MODULUS:
+        raise InvalidModulusError(p * q)
     if not is_prime(p):
         raise NonPrimeError("p", p)
     if not is_prime(q):
@@ -164,8 +165,6 @@ def keygen(p: int, q: int, e: int) -> RsaKeyPair:
     """
     _check_prime_pair(p, q)
     n = p * q
-    if n > modmath.MAX_MODULUS:
-        raise InvalidModulusError(n)
     phi = (p - 1) * (q - 1)
     if not 1 < e < phi:
         raise ExponentOutOfRangeError(e, phi)
@@ -206,9 +205,7 @@ def decode_text(msg: NumberMessage) -> str:
 def _pow_message(msg: NumberMessage, exponent: int, n: int) -> NumberMessage:
     if msg.n != n:
         raise ModulusMismatchError(msg.n, n)
-    m = modmath.Modulus(n)
-    out = tuple(modmath.pow_mod(modmath.Residue(v, m), exponent).value for v in msg.values)
-    return NumberMessage(out, n)
+    return NumberMessage(tuple(pow(v, exponent, n) for v in msg.values), n)
 
 
 def encrypt(msg: NumberMessage, key: PublicKey) -> NumberMessage:
@@ -221,15 +218,9 @@ def decrypt(msg: NumberMessage, key: PrivateKey) -> NumberMessage:
     return _pow_message(msg, key.f, key.n)
 
 
-def sign(msg: NumberMessage, key: PrivateKey) -> NumberMessage:
-    """Signing is exponentiation by the private f; the same map as decrypt.
-
-    Note this signs the raw numbers, with no hashing. Anyone can forge a
-    "signature" of a chosen ciphertext; textbook semantics only.
-    """
-    return _pow_message(msg, key.f, key.n)
-
-
-def verify(msg: NumberMessage, key: PublicKey) -> NumberMessage:
-    """Recover a signed message with the public e; the same map as encrypt."""
-    return _pow_message(msg, key.e, key.n)
+# Signing is exponentiation by the private f, the same map as decrypt, and
+# verifying recovers a signed message with the public e, as encrypt does.
+# This signs the raw numbers, with no hashing: anyone can forge a
+# "signature" of a chosen ciphertext. Textbook semantics only.
+sign = decrypt
+verify = encrypt

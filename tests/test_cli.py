@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modrsa
 from cli_cases import GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
 from modrsa.keyfile import read_key_file
 from modrsa.rsa import ALPHABET, PrivateKey, PublicKey
@@ -157,6 +162,12 @@ class TestStdinVectors:
         assert code == 2
         assert "line 1" in err
 
+    def test_lines_before_a_junk_line_are_answered(self, keys):
+        code, out, err = run_cli(["encrypt", "--key", keys["pub22"]], stdin_text="2,3,8\n2,x\n")
+        assert code == 2
+        assert out == "18,9,2\n"
+        assert "line 2" in err
+
 
 class TestPipelines:
     def test_encrypt_decrypt_round_trip_random_strings(self, keys):
@@ -263,3 +274,38 @@ class TestKeygenFiles:
         _, cipher, _ = run_cli(["encrypt", "--key", str(pub), "KEY FILES WORK"])
         _, plain, _ = run_cli(["decrypt", "--key", str(priv), "--text", cipher.strip()])
         assert plain == "KEY FILES WORK\n"
+
+
+def run_cli_process(argv, timeout=30):
+    """Run `python -m modrsa` as a child; returns (exit code, stdout, stderr)."""
+    src = str(Path(modrsa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modrsa", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestBoundedWork:
+    """Inputs that used to hang or crash end with exit 2, in bounded time."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keygen", "--p", "1000000000000000003", "--q", "3", "--e", "5"],
+            ["phi", "--semiprime", "1000000000000000003", "1000000000000000009"],
+        ],
+    )
+    def test_oversized_modulus_rejected_before_primality(self, argv):
+        code, out, err = run_cli_process(argv)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: invalid modulus")
+
+    def test_unwritable_key_file_is_domain_error(self, tmp_path):
+        pub = tmp_path / "missing" / "pub.txt"
+        code, out, err = run_cli_process(["keygen", "--p", "13", "--q", "17", "--e", "29", "--pub", str(pub)])
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {pub}:")

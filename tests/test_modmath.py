@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from modrsa import modmath
+from modrsa import modmath, oracle
 from modrsa.errors import (
     InvalidModulusError,
     ModulusMismatchError,
@@ -345,3 +347,49 @@ class TestCrtDecompose:
     def test_equal_factors_rejected(self):
         with pytest.raises(ValueError):
             crt_decompose(res(3, 9), 3, 3)
+
+
+def _sieve_primes(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    return [p for p in range(limit + 1) if flags[p]]
+
+
+# every prime up to sqrt(2**31 - 1), enough to certify any factor below the cap
+SIEVE_LIMIT = math.isqrt(modmath.MAX_MODULUS) + 1
+SIEVE_PRIMES = _sieve_primes(SIEVE_LIMIT)
+SIEVE_PRIMES_SET = set(SIEVE_PRIMES)
+
+
+def _passes_sieve(f):
+    if f <= SIEVE_LIMIT:
+        return f in SIEVE_PRIMES_SET
+    return all(f % p for p in SIEVE_PRIMES)
+
+
+class TestSharedFactoriser:
+    """prime_factors is the one trial division behind is_prime, is_square_free and phi."""
+
+    def test_factors_multiply_back_and_are_prime(self):
+        for n in [*range(1, 3000), 2**31 - 1, 46337 * 46327, 46337**2, 2**30, 3**19, 2**31 - 2]:
+            factors = list(modmath.prime_factors(n))
+            assert math.prod(factors) == n
+            assert factors == sorted(factors)
+            assert all(_passes_sieve(f) for f in factors), n
+
+    def test_phi_matches_brute_count(self):
+        for n in range(2, 2001):
+            assert modmath.phi(n) == oracle.phi_brute(n), n
+
+    def test_square_free_matches_definition(self):
+        for n in range(2, 10_001):
+            brute = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+            assert is_square_free(n) is brute, n
+
+    def test_inverse_of_a_factor_carries_it_as_gcd(self):
+        with pytest.raises(NotAUnitError) as exc:
+            inverse(res(46337, 46337 * 46327))
+        assert exc.value.gcd == 46337
