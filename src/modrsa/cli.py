@@ -10,6 +10,7 @@ is processed line by line, so lines before a bad one are answered.
 
 import argparse
 import sys
+from itertools import chain, repeat
 
 from . import modmath, oracle, rsa
 from .errors import DomainError, KeyFileError
@@ -56,6 +57,17 @@ def _print_vector(values, out) -> None:
     print(",".join(str(v) for v in values), file=out)
 
 
+def _print_columns(rows, out, width=0) -> None:
+    """Right-align rows of cells, one space apart, with trailing blanks stripped.
+
+    Every column is `width` wide or, when width is 0, as wide as its widest
+    cell; rows must then be a list, since the widths are found first.
+    """
+    widths = repeat(width) if width else [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print(" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
+
+
 def _check_line(ok: bool, oracle_value, out) -> None:
     if ok:
         print("check: ok", file=out)
@@ -84,25 +96,14 @@ def _cmd_gcd(args, stdin, out):
         print(f"gcd = {cert.g}", file=out)
         print(f"a = {cert.a}", file=out)
         print(f"b = {cert.b}", file=out)
-        _print_trace(trace, out)
+        # mirror the tabular layout: blank quotient on the first row, bare 0 last
+        rows = [("n", "q", "a", "b")]
+        for row in trace.rows:
+            q = "" if row.quotient is None else str(row.quotient)
+            rows.append(("0", "", "", "") if row.n == 0 else (str(row.n), q, str(row.a), str(row.b)))
+        _print_columns(rows, out)
     else:
         print(modmath.gcd(args.x, args.y), file=out)
-
-
-def _print_trace(trace, out) -> None:
-    # mirror the tabular layout: blank quotient on the first row, bare 0 last
-    cells = []
-    for row in trace.rows:
-        if row.n == 0:
-            cells.append(("0", "", "", ""))
-        else:
-            q = "" if row.quotient is None else str(row.quotient)
-            cells.append((str(row.n), q, str(row.a), str(row.b)))
-    header = ("n", "q", "a", "b")
-    widths = [max(len(header[i]), max(len(r[i]) for r in cells)) for i in range(4)]
-    print(" ".join(header[i].rjust(widths[i]) for i in range(4)).rstrip(), file=out)
-    for r in cells:
-        print(" ".join(r[i].rjust(widths[i]) for i in range(4)).rstrip(), file=out)
 
 
 def _cmd_inverse(args, stdin, out):
@@ -118,25 +119,22 @@ def _cmd_inverse(args, stdin, out):
 
 def _cmd_table(args, stdin, out):
     table = modmath.mul_table(Modulus(args.n))
-    width = len(str(args.n - 1))
-    labels = ["x"] + [str(c) for c in range(1, args.n)]
-    print(" ".join(s.rjust(width) for s in labels).rstrip(), file=out)
-    for i, row in enumerate(table, start=1):
-        cells = [str(i)] + [str(r.value) for r in row]
-        print(" ".join(s.rjust(width) for s in cells).rstrip(), file=out)
+    header = ["x"] + [str(c) for c in range(1, args.n)]
+    rows = ([str(i)] + [str(r.value) for r in row] for i, row in enumerate(table, start=1))
+    _print_columns(chain([header], rows), out, width=len(str(args.n - 1)))
 
 
 def _cmd_phi(args, stdin, out):
     if args.semiprime:
         if args.check:
-            raise _UsageError("--check and --semiprime cannot be combined", args.parser)
+            args.parser.error("--check and --semiprime cannot be combined")
         if len(args.values) != 2:
-            raise _UsageError("--semiprime takes exactly two arguments: p q", args.parser)
+            args.parser.error("--semiprime takes exactly two arguments: p q")
         p, q = args.values
         print(rsa.phi_semiprime(p, q), file=out)
         return
     if len(args.values) != 1:
-        raise _UsageError("phi takes exactly one argument: n", args.parser)
+        args.parser.error("phi takes exactly one argument: n")
     n = args.values[0]
     result = modmath.phi(n)
     print(result, file=out)
@@ -198,18 +196,17 @@ def _input_messages(args, stdin, n):
     next line is parsed.
     """
     if args.numbers is not None and args.text is not None:
-        raise _UsageError("give either TEXT or --numbers, not both", args.parser)
+        args.parser.error("give either TEXT or --numbers, not both")
     if args.numbers is not None:
         yield rsa.NumberMessage(args.numbers, n)
     elif args.text is not None:
         yield rsa.encode_text(args.text, n)
     else:
         for lineno, line in enumerate(stdin, start=1):
-            text = line.strip()
             try:
-                values = () if not text else tuple(int(part) for part in text.split(","))
-            except ValueError:
-                raise DomainError(f"standard input line {lineno}: invalid number vector: {text!r}") from None
+                values = _vector(line)
+            except argparse.ArgumentTypeError as err:
+                raise DomainError(f"standard input line {lineno}: {err}") from None
             yield rsa.NumberMessage(values, n)
 
 
@@ -327,17 +324,11 @@ def run(argv, *, stdin=None, stdout=None, stderr=None) -> int:
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"error: {err}", file=stderr)
-        err.parser.print_help(stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        args.handler(args, stdin, stdout)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    try:
-        args.handler(args, stdin, stdout)
     except _UsageError as err:
         print(f"error: {err}", file=stderr)
         err.parser.print_help(stderr)

@@ -1,13 +1,10 @@
 """Flat text key files, one `key = value` pair per line, fixed order.
 
-Public file:
-
-    kind = public
-    n = 221
-    e = 29
-
-Private file: kind, n, f, then optionally p, q, phi in that order.
-Files are 7-bit text with newline terminators; unknown keys are rejected.
+The first line, `kind = public` or `kind = private`, picks a row of
+_SCHEMA, and that kind's fields follow in the row's order. The first two
+are required; the rest (p, q, phi of a private key) are optional and may
+be left out, but never reordered or repeated. Files are 7-bit text with
+newline terminators; unknown keys are rejected.
 """
 
 import re
@@ -16,7 +13,10 @@ from .errors import KeyFileError
 from .rsa import PrivateKey, PublicKey
 
 _LINE = re.compile(r"([a-z]+) = (\S+)")
-_PRIVATE_OPTIONAL = ("p", "q", "phi")
+
+# kind -> (key type, field order); the first _REQUIRED fields are required
+_SCHEMA = {"public": (PublicKey, ("n", "e")), "private": (PrivateKey, ("n", "f", "p", "q", "phi"))}
+_REQUIRED = 2
 
 
 def write_key_file(path, key) -> None:
@@ -24,17 +24,13 @@ def write_key_file(path, key) -> None:
 
     Raises KeyFileError, naming the path, when the file cannot be written.
     """
-    if isinstance(key, PublicKey):
-        pairs = [("kind", "public"), ("n", key.n), ("e", key.e)]
-    elif isinstance(key, PrivateKey):
-        pairs = [("kind", "private"), ("n", key.n), ("f", key.f)]
-        for name in _PRIVATE_OPTIONAL:
-            value = getattr(key, name)
-            if value is not None:
-                pairs.append((name, value))
+    for kind, (key_type, names) in _SCHEMA.items():
+        if isinstance(key, key_type):
+            break
     else:
         raise TypeError(f"expected PublicKey or PrivateKey, got {type(key).__name__}")
-    text = "".join(f"{k} = {v}\n" for k, v in pairs)
+    pairs = [("kind", kind)] + [(name, getattr(key, name)) for name in names]
+    text = "".join(f"{k} = {v}\n" for k, v in pairs if v is not None)
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
@@ -47,7 +43,7 @@ def read_key_file(path):
 
     Raises KeyFileError, naming the offending line, for anything that
     strays from the format: malformed lines, unknown kinds, unknown or
-    out-of-order keys, missing fields, non-decimal values.
+    out-of-order keys, missing fields, non-decimal or oversized values.
     """
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
@@ -68,60 +64,36 @@ def read_key_file(path):
         match = _LINE.fullmatch(line)
         if match is None:
             raise KeyFileError(f"{path}: line {lineno}: malformed line (expected 'key = value')")
-        entries.append((lineno, match.group(1), match.group(2)))
+        entries.append((lineno, *match.groups()))
 
-    def take(index, expected):
-        if index >= len(entries):
-            raise KeyFileError(f"{path}: line {len(lines) + 1}: missing field '{expected}'")
-        lineno, key, value = entries[index]
-        if key != expected:
-            raise KeyFileError(f"{path}: line {lineno}: expected field '{expected}', found '{key}'")
-        return lineno, value
-
-    def decimal(lineno, name, value):
-        if not value.isdigit():
-            raise KeyFileError(f"{path}: line {lineno}: value for '{name}' is not a decimal number")
-        return int(value)
-
-    lineno, kind = take(0, "kind")
-    if kind == "public":
-        order = ("n", "e")
-    elif kind == "private":
-        order = ("n", "f")
-    else:
-        raise KeyFileError(f"{path}: line {lineno}: unknown kind '{kind}'")
-
-    fields = {}
-    index = 1
-    for name in order:
-        lineno, value = take(index, name)
-        fields[name] = decimal(lineno, name, value)
-        index += 1
-
-    if kind == "private":
-        # optional p, q, phi, in that order, each at most once
-        allowed = list(_PRIVATE_OPTIONAL)
-        while index < len(entries):
-            lineno, key, value = entries[index]
-            while allowed and allowed[0] != key:
-                allowed.pop(0)
-            if not allowed:
+    # names[pos] is the next field; the kind line extends names by its schema
+    names, required, pos, fields = ("kind",), 1, 0, {}
+    for lineno, key, value in entries:
+        if pos < required:
+            if key != names[pos]:
+                raise KeyFileError(f"{path}: line {lineno}: expected field '{names[pos]}', found '{key}'")
+        else:
+            while pos < len(names) and names[pos] != key:
+                pos += 1
+            if pos == len(names):
                 raise KeyFileError(f"{path}: line {lineno}: unexpected key '{key}'")
-            fields[allowed.pop(0)] = decimal(lineno, key, value)
-            index += 1
-    elif index < len(entries):
-        lineno, key, _ = entries[index]
-        raise KeyFileError(f"{path}: line {lineno}: unexpected key '{key}'")
+        pos += 1
+        if key == "kind":
+            if value not in _SCHEMA:
+                raise KeyFileError(f"{path}: line {lineno}: unknown kind '{value}'")
+            key_type, order = _SCHEMA[value]
+            names, required = names + order, 1 + _REQUIRED
+        elif not value.isdigit():
+            raise KeyFileError(f"{path}: line {lineno}: value for '{key}' is not a decimal number")
+        else:
+            try:
+                fields[key] = int(value)
+            except ValueError:  # past the interpreter's digit limit for int()
+                raise KeyFileError(f"{path}: line {lineno}: value for '{key}' has too many digits") from None
+    if pos < required:
+        raise KeyFileError(f"{path}: line {len(lines) + 1}: missing field '{names[pos]}'")
 
     try:
-        if kind == "public":
-            return PublicKey(n=fields["n"], e=fields["e"])
-        return PrivateKey(
-            n=fields["n"],
-            f=fields["f"],
-            p=fields.get("p"),
-            q=fields.get("q"),
-            phi=fields.get("phi"),
-        )
+        return key_type(**fields)
     except ValueError as exc:
         raise KeyFileError(f"{path}: invalid key values ({exc})") from None

@@ -212,23 +212,14 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
         return BezoutCertificate(cert.g, cert.b, cert.a, x, y), trace
 
     rows = [TraceRow(x, None, 1, 0)]
-    n_prev, a_prev, b_prev = x, 1, 0
-    n_cur, a_cur, b_cur = y, 0, 1
-    q = x // y
-    rows.append(TraceRow(y, q, 0, 1))
-    while True:
-        n_next = n_prev - q * n_cur
-        a_next = a_prev - q * a_cur
-        b_next = b_prev - q * b_cur
-        if n_next == 0:
-            rows.append(TraceRow(0, None, a_next, b_next))
-            break
-        q = n_cur // n_next
-        rows.append(TraceRow(n_next, q, a_next, b_next))
-        n_prev, a_prev, b_prev = n_cur, a_cur, b_cur
-        n_cur, a_cur, b_cur = n_next, a_next, b_next
+    (n0, a0, b0), (n1, a1, b1) = (x, 1, 0), (y, 0, 1)
+    while n1:
+        q = n0 // n1
+        rows.append(TraceRow(n1, q, a1, b1))
+        (n0, a0, b0), (n1, a1, b1) = (n1, a1, b1), (n0 - q * n1, a0 - q * a1, b0 - q * b1)
+    rows.append(TraceRow(0, None, a1, b1))
 
-    cert = BezoutCertificate(n_cur, a_cur, b_cur, x, y)
+    cert = BezoutCertificate(n0, a0, b0, x, y)
     return cert, EuclidTrace(x, y, tuple(rows))
 
 

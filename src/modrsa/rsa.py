@@ -9,6 +9,7 @@ desk-scale primes); the point is to make the number theory visible, not
 to protect data.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import modmath
@@ -84,6 +85,7 @@ class PrivateKey:
 
     May also carry the factors p, q and the unit count phi they imply;
     those travel in private key files but are not needed to decrypt.
+    Whichever of them are present must agree with n, f and each other.
     """
 
     n: int
@@ -97,6 +99,16 @@ class PrivateKey:
             raise ValueError(f"private key modulus must be >= 2, got {self.n}")
         if self.f <= 1:
             raise ValueError(f"private exponent must be > 1, got {self.f}")
+        p, q, phi = self.p, self.q, self.phi
+        for name, factor in (("p", p), ("q", q)):
+            if factor is not None and not (1 < factor < self.n and self.n % factor == 0):
+                raise ValueError(f"{name} = {factor} is not a proper factor of n = {self.n}")
+        if p is not None and q is not None and p * q != self.n:
+            raise ValueError(f"n = {self.n} is not p*q = {p * q}")
+        if None not in (p, q, phi) and phi != (p - 1) * (q - 1):
+            raise ValueError(f"phi = {phi} is not (p-1)(q-1) = {(p - 1) * (q - 1)}")
+        if phi is not None and math.gcd(self.f, phi) != 1:
+            raise ValueError(f"private exponent {self.f} is not a unit mod phi = {phi}")
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,27 @@ class TestExitCodes:
         code, _, err = run_cli(["encrypt", "--key", keys["pub221"], "--numbers", "1,2", "HI"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["phi", "--check", "--semiprime", "3", "5"], "--check and --semiprime cannot be combined"),
+            (["phi", "3", "5"], "phi takes exactly one argument: n"),
+            (["encrypt", "--key", "{pub221}", "--numbers", "1,2", "HI"], "give either TEXT or --numbers, not both"),
+        ],
+    )
+    def test_handler_usage_error_text(self, argv, message, keys, capsys):
+        assert run_cli([argv[0], "--help"])[0] == 0
+        help_text = capsys.readouterr().out
+        assert help_text.startswith(f"usage: modrsa {argv[0]} ")
+        assert run_cli(fill_argv(argv, keys)) == (1, "", f"error: {message}\n{help_text}")
+
+    def test_inconsistent_private_key_file_is_domain_error(self, tmp_path):
+        bad = tmp_path / "priv.txt"
+        bad.write_text("kind = private\nn = 221\nf = 53\np = 11\nq = 17\nphi = 5\n")
+        code, out, err = run_cli(["decrypt", "--key", str(bad), "1,2"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: invalid key values (")
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"])[0] == 0
         assert run_cli(["gcd", "--help"])[0] == 0
@@ -167,6 +188,11 @@ class TestStdinVectors:
         assert code == 2
         assert out == "18,9,2\n"
         assert "line 2" in err
+
+    def test_junk_line_message(self, keys):
+        code, _, err = run_cli(["encrypt", "--key", keys["pub22"]], stdin_text="1\n2,x\n")
+        assert code == 2
+        assert err == "error: standard input line 2: invalid number vector: '2,x'\n"
 
 
 class TestPipelines:

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modrsa.errors import KeyFileError
 from modrsa.keyfile import read_key_file, write_key_file
@@ -107,3 +111,54 @@ def test_not_ascii(tmp_path):
 
 def test_invalid_key_values(tmp_path):
     _expect_error(tmp_path, b"kind = public\nn = 1\ne = 29\n", "invalid key values")
+
+
+def test_oversized_value_names_line(tmp_path):
+    content = b"kind = public\nn = " + b"7" * 5000 + b"\ne = 29\n"
+    _expect_error(tmp_path, content, "line 2: value for 'n' has too many digits")
+
+
+def test_inconsistent_private_key_rejected(tmp_path):
+    _expect_error(tmp_path, b"kind = private\nn = 221\nf = 53\np = 11\nq = 17\nphi = 5\n", "invalid key values")
+
+
+_NAMES = ["kind", "n", "e", "f", "p", "q", "phi", "x"]  # every field name and one unknown key
+_SCHEMA_NAMES = {"public": ["n", "e"], "private": ["n", "f", "p", "q", "phi"], "royal": ["n", "e"]}
+_VALUES = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=3),
+    # long runs, also on either side of int()'s default 4300-digit limit
+    st.one_of(st.integers(1, 5000), st.sampled_from([4300, 4301])).map("7".__mul__),
+    st.sampled_from(["-3", "0x1f", "1.5", "public"]),
+)
+
+
+@st.composite
+def _key_lines(draw):
+    """A kind and its fields in order, with some lines dropped and stray lines inserted."""
+    kind = draw(st.sampled_from(sorted(_SCHEMA_NAMES)))
+    lines = [("kind", kind)] + [(name, draw(_VALUES)) for name in _SCHEMA_NAMES[kind]]
+    lines = [line for line in lines if draw(st.integers(0, 5))]  # drop about one line in six
+    if not draw(st.integers(0, 2)):
+        lines.insert(draw(st.integers(0, len(lines))), (draw(st.sampled_from(_NAMES)), draw(_VALUES)))
+    return lines
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_key_lines())
+def test_any_key_value_lines_give_a_key_or_key_file_error(tmp_path, lines):
+    path = tmp_path / "key.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines), encoding="ascii")
+    try:
+        key = read_key_file(path)
+    except KeyFileError:
+        return
+    assert isinstance(key, (PublicKey, PrivateKey))
+
+
+@pytest.mark.parametrize("present", list(itertools.product([False, True], repeat=3)))
+def test_round_trip_every_optional_subset(tmp_path, present):
+    optional = {name: value for name, value, keep in zip(("p", "q", "phi"), (13, 17, 192), present) if keep}
+    key = PrivateKey(221, 53, **optional)
+    path = tmp_path / "priv.txt"
+    write_key_file(path, key)
+    assert read_key_file(path) == key

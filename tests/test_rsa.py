@@ -133,6 +133,32 @@ class TestKeygen:
             RsaKeyPair(p=12, q=17, n=204, phi=176, e=29, f=85)
 
 
+class TestPrivateKeyConsistency:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(p=11, q=17, phi=5),  # 11 does not divide 221
+            dict(p=1),
+            dict(q=221),
+            dict(p=17, q=17),  # each divides 221, their product does not
+            dict(p=13, q=17, phi=190),
+            dict(phi=106),  # gcd(53, 106) = 53
+        ],
+    )
+    def test_inconsistent_fields_rejected(self, fields):
+        with pytest.raises(ValueError):
+            PrivateKey(221, 53, **fields)
+
+    @pytest.mark.parametrize("fields", [dict(), dict(q=17), dict(p=13, phi=192), dict(p=13, q=17)])
+    def test_partial_keys_allowed(self, fields):
+        PrivateKey(221, 53, **fields)
+
+    def test_keygen_keys_are_consistent(self):
+        for p, q, e in ((13, 17, 29), (2, 11, 7), (3, 5, 7), (46337, 46327, 65537)):
+            key = keygen(p, q, e).private_key
+            assert PrivateKey(key.n, key.f, key.p, key.q, key.phi) == key
+
+
 class TestNumberMessage:
     def test_values_coerced_to_tuple(self):
         msg = NumberMessage([1, 2, 3], 22)
