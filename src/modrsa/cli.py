@@ -9,15 +9,20 @@ is processed line by line, so lines before a bad one are answered.
 """
 
 import argparse
+import re
 import sys
 from itertools import chain, repeat
 
 from . import modmath, oracle, rsa
 from .errors import DomainError, KeyFileError
 from .keyfile import read_key_file, write_key_file
-from .modmath import Modulus
 
 PROG = "modrsa"
+
+# The one number syntax, for arguments and vectors alike: ASCII decimals
+_NUMBER = "-?[0-9]+"
+_INTEGER = re.compile(_NUMBER)
+_VECTOR = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")
 
 
 class _UsageError(Exception):
@@ -33,11 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _natural(text: str) -> int:
+def _numbers(text: str, pattern, what: str) -> tuple[int, ...]:
+    """The comma-separated numbers of text, which must match pattern in full."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if pattern.fullmatch(text):
+            return tuple(map(int, text.split(",")))
+    except ValueError:  # past the interpreter's digit limit for int()
+        pass
+    raise argparse.ArgumentTypeError(f"invalid {what}: {text!r}")
+
+
+def _integer(text: str) -> int:
+    return _numbers(text, _INTEGER, "int value")[0]
+
+
+def _natural(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -45,12 +61,7 @@ def _natural(text: str) -> int:
 
 def _vector(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number vector: {text!r}") from None
+    return _numbers(text, _VECTOR, "number vector") if text else ()
 
 
 def _print_vector(values, out) -> None:
@@ -79,13 +90,12 @@ def _check_line(ok: bool, oracle_value, out) -> None:
 # --- modular arithmetic commands -------------------------------------------
 
 def _cmd_reduce(args, stdin, out):
-    print(modmath.reduce(args.x, Modulus(args.n)).value, file=out)
+    print(modmath.reduce(args.x, args.n).value, file=out)
 
 
 def _cmd_binop(args, stdin, out):
-    m = Modulus(args.n)
-    a = modmath.reduce(args.a, m)
-    b = modmath.reduce(args.b, m)
+    a = modmath.reduce(args.a, args.n)
+    b = modmath.reduce(args.b, args.n)
     op = {"add": modmath.add, "sub": modmath.sub, "mul": modmath.mul, "div": modmath.divide}[args.op]
     print(op(a, b).value, file=out)
 
@@ -107,8 +117,7 @@ def _cmd_gcd(args, stdin, out):
 
 
 def _cmd_inverse(args, stdin, out):
-    m = Modulus(args.n)
-    x = modmath.reduce(args.x, m)
+    x = modmath.reduce(args.x, args.n)
     result = modmath.inverse(x)
     print(result.value, file=out)
     if args.check:
@@ -118,10 +127,10 @@ def _cmd_inverse(args, stdin, out):
 
 
 def _cmd_table(args, stdin, out):
-    table = modmath.mul_table(Modulus(args.n))
-    header = ["x"] + [str(c) for c in range(1, args.n)]
-    rows = ([str(i)] + [str(r.value) for r in row] for i, row in enumerate(table, start=1))
-    _print_columns(chain([header], rows), out, width=len(str(args.n - 1)))
+    n = modmath.check_modulus(args.n)
+    header = ["x"] + [str(c) for c in range(1, n)]
+    rows = ([str(i)] + [str(r.value) for r in modmath.mul_row(i, n)] for i in range(1, n))
+    _print_columns(chain([header], rows), out, width=len(str(n - 1)))
 
 
 def _cmd_phi(args, stdin, out):
@@ -144,8 +153,7 @@ def _cmd_phi(args, stdin, out):
 
 
 def _cmd_powmod(args, stdin, out):
-    m = Modulus(args.n)
-    x = modmath.reduce(args.x, m)
+    x = modmath.reduce(args.x, args.n)
     result = modmath.pow_mod(x, args.e)
     print(result.value, file=out)
     if args.check:
@@ -159,12 +167,11 @@ def _cmd_critical(args, stdin, out):
 
 
 def _cmd_classify(args, stdin, out):
-    m = Modulus(args.n)
-    print(modmath.classify(modmath.reduce(args.x, m)).value, file=out)
+    print(modmath.classify(modmath.reduce(args.x, args.n)).value, file=out)
 
 
 def _cmd_crt(args, stdin, out):
-    x = modmath.reduce(args.x, Modulus(args.p * args.q))
+    x = modmath.reduce(args.x, args.p * args.q)
     rp, rq = modmath.crt_decompose(x, args.p, args.q)
     _print_vector((rp.value, rq.value), out)
 
@@ -238,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("reduce", _cmd_reduce, "canonical residue of x mod n")
-    p.add_argument("x", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("x", type=_integer)
+    p.add_argument("n", type=_integer)
 
     for op, text in (("add", "sum"), ("sub", "difference"), ("mul", "product"), ("div", "quotient")):
         p = command(op, _cmd_binop, f"{text} of a and b mod n")
-        p.add_argument("a", type=int)
-        p.add_argument("b", type=int)
-        p.add_argument("n", type=int)
+        p.add_argument("a", type=_integer)
+        p.add_argument("b", type=_integer)
+        p.add_argument("n", type=_integer)
         p.set_defaults(op=op)
 
     p = command("gcd", _cmd_gcd, "greatest common divisor, optionally with the Bezout table")
@@ -255,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("inverse", _cmd_inverse, "multiplicative reciprocal of x mod n")
     p.add_argument("--check", action="store_true", help="cross-validate against the brute-force scan")
-    p.add_argument("x", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("x", type=_integer)
+    p.add_argument("n", type=_integer)
 
     p = command("table", _cmd_table, "multiplication table mod n, rows and columns 1..n-1")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = command("phi", _cmd_phi, "number of units: phi <n>, or phi --semiprime <p> <q>")
     p.add_argument("--check", action="store_true", help="cross-validate the unit count by classification")
@@ -268,20 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("powmod", _cmd_powmod, "x**e mod n by square-and-multiply")
     p.add_argument("--check", action="store_true", help="cross-validate against naive repeated multiplication")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_integer)
     p.add_argument("e", type=_natural)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = command("critical", _cmd_critical, "first COUNT exponents 1, 1+phi, 1+2*phi, ... (square-free n)")
     p.add_argument("n", type=_natural)
     p.add_argument("count", type=_natural)
 
     p = command("classify", _cmd_classify, "zero, unit, or zero-divisor")
-    p.add_argument("x", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("x", type=_integer)
+    p.add_argument("n", type=_integer)
 
     p = command("crt", _cmd_crt, "coordinates (x mod p, x mod q) for a modulus p*q")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_integer)
     p.add_argument("p", type=_natural)
     p.add_argument("q", type=_natural)
 

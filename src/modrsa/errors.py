@@ -2,35 +2,39 @@
 
 Everything that reflects bad mathematical input (as opposed to a
 programming mistake) derives from DomainError, so callers such as the
-CLI can map the whole family to one exit code.
+CLI can map the whole family to one exit code. A subclass names its
+witnesses in `fields` and words its message in `template`, a str.format
+string over them; the one constructor takes the witnesses positionally,
+stores each as an attribute and formats the message. A class without
+fields takes the message itself.
 """
 
 
 class DomainError(Exception):
     """A well-formed request that is mathematically impossible or invalid."""
 
+    fields = ()
+
+    def __init__(self, *args):
+        if self.fields:
+            vars(self).update(zip(self.fields, args, strict=True))
+            args = (self.template.format_map(vars(self)),)
+        super().__init__(*args)
+
 
 class InvalidModulusError(DomainError):
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"invalid modulus {n}: need an integer with 2 <= n <= 2**31 - 1")
+    fields = ("n",)
+    template = "invalid modulus {n}: need an integer with 2 <= n <= 2**31 - 1"
 
 
 class ModulusMismatchError(DomainError):
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        super().__init__(f"modulus mismatch: {left} vs {right}")
+    fields = ("left", "right")
+    template = "modulus mismatch: {left} vs {right}"
 
 
 class NotAUnitError(DomainError):
-    """No reciprocal exists; carries the offending gcd as a witness."""
-
-    def __init__(self, value, modulus, gcd):
-        self.value = value
-        self.modulus = modulus
-        self.gcd = gcd
-        super().__init__(f"{value} is not a unit mod {modulus} (gcd = {gcd})")
+    fields = ("value", "modulus", "gcd")
+    template = "{value} is not a unit mod {modulus} (gcd = {gcd})"
 
 
 class UndefinedGcdError(DomainError):
@@ -38,70 +42,48 @@ class UndefinedGcdError(DomainError):
 
 
 class NotSquareFreeError(DomainError):
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"{n} is not square-free")
+    fields = ("n",)
+    template = "{n} is not square-free"
 
 
 class NonPrimeError(DomainError):
-    """Names which of the keygen inputs failed the primality test."""
-
-    def __init__(self, name, value):
-        self.name = name
-        self.value = value
-        super().__init__(f"{name} = {value} is not prime")
+    fields = ("name", "value")
+    template = "{name} = {value} is not prime"
 
 
 class EqualPrimesError(DomainError):
-    def __init__(self, p):
-        self.p = p
-        super().__init__(f"p and q must be distinct primes (both are {p})")
+    fields = ("p",)
+    template = "p and q must be distinct primes (both are {p})"
 
 
 class ExponentOutOfRangeError(DomainError):
-    def __init__(self, e, phi):
-        self.e = e
-        self.phi = phi
-        super().__init__(f"public exponent {e} must satisfy 1 < e < phi = {phi}")
+    fields = ("e", "phi")
+    template = "public exponent {e} must satisfy 1 < e < phi = {phi}"
 
 
 class ExponentNotUnitError(DomainError):
-    """gcd(e, phi) > 1; carries that gcd as a witness."""
-
-    def __init__(self, e, phi, gcd):
-        self.e = e
-        self.phi = phi
-        self.gcd = gcd
-        super().__init__(f"public exponent {e} is not a unit mod phi = {phi} (gcd = {gcd})")
+    fields = ("e", "phi", "gcd")
+    template = "public exponent {e} is not a unit mod phi = {phi} (gcd = {gcd})"
 
 
 class UnsupportedCharacterError(DomainError):
-    def __init__(self, char, position):
-        self.char = char
-        self.position = position
-        super().__init__(
-            f"unsupported character {char!r} at position {position}: only A-Z and space can be encoded"
-        )
+    fields = ("char", "position")
+    template = "unsupported character {char!r} at position {position}: only A-Z and space can be encoded"
 
 
 class ValueOutOfAlphabetError(DomainError):
-    def __init__(self, value, position):
-        self.value = value
-        self.position = position
-        super().__init__(f"value {value} at position {position} is outside the letter alphabet 1..27")
+    fields = ("value", "position")
+    template = "value {value} at position {position} is outside the letter alphabet 1..27"
 
 
 class ModulusTooSmallError(DomainError):
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"modulus {n} is too small to carry letter codes (need n >= 28)")
+    fields = ("n",)
+    template = "modulus {n} is too small to carry letter codes (need n >= 28)"
 
 
 class MessageRangeError(DomainError):
-    def __init__(self, value, n):
-        self.value = value
-        self.n = n
-        super().__init__(f"message value {value} is not a residue mod {n}")
+    fields = ("value", "n")
+    template = "message value {value} is not a residue mod {n}"
 
 
 class KeyFileError(DomainError):

@@ -9,7 +9,7 @@ newline terminators; unknown keys are rejected.
 
 import re
 
-from .errors import KeyFileError
+from .errors import InvalidModulusError, KeyFileError
 from .rsa import PrivateKey, PublicKey
 
 _LINE = re.compile(r"([a-z]+) = (\S+)")
@@ -95,5 +95,5 @@ def read_key_file(path):
 
     try:
         return key_type(**fields)
-    except ValueError as exc:
+    except (ValueError, InvalidModulusError) as exc:
         raise KeyFileError(f"{path}: invalid key values ({exc})") from None

@@ -31,6 +31,13 @@ from .errors import (
 MAX_MODULUS = 2**31 - 1
 
 
+def check_modulus(n) -> int:
+    """n if it is a valid modulus, an int (not a bool) with 2 <= n <= MAX_MODULUS."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= MAX_MODULUS:
+        raise InvalidModulusError(n)
+    return n
+
+
 @dataclass(frozen=True)
 class Modulus:
     """Clock size n >= 2; all arithmetic wraps modulo n."""
@@ -38,10 +45,7 @@ class Modulus:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise InvalidModulusError(self.n)
-        if not 2 <= self.n <= MAX_MODULUS:
-            raise InvalidModulusError(self.n)
+        check_modulus(self.n)
 
     def __str__(self):
         return str(self.n)
@@ -64,6 +68,8 @@ class Residue:
     modulus: Modulus
 
     def __post_init__(self):
+        if isinstance(self.value, bool) or not isinstance(self.value, int):
+            raise TypeError(f"residue value must be an int, got {self.value!r}")
         if not 0 <= self.value < self.modulus.n:
             raise ValueError(f"{self.value} is not a canonical residue mod {self.modulus.n}")
 
@@ -134,15 +140,21 @@ def mul(a: Residue, b: Residue) -> Residue:
     return Residue(a.value * b.value % m.n, m)
 
 
+def mul_row(i: int, n) -> list[Residue]:
+    """Row i of the multiplication table: i * j mod n for j = 1..n-1."""
+    m = _as_modulus(n)
+    return [Residue(i * j % m.n, m) for j in range(1, m.n)]
+
+
 def mul_table(n) -> list[list[Residue]]:
     """The (n-1) x (n-1) multiplication table for nonzero residues.
 
     Entry [i][j] holds (i+1) * (j+1) mod n, i.e. rows and columns are
     labelled 1..n-1 and the zero row is omitted, as these tables are
-    usually presented.
+    usually presented. mul_row builds one row, for callers that stream.
     """
     m = _as_modulus(n)
-    return [[Residue(i * j % m.n, m) for j in range(1, m.n)] for i in range(1, m.n)]
+    return [mul_row(i, m) for i in range(1, m.n)]
 
 
 def gcd(x: int, y: int) -> int:

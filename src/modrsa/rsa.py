@@ -43,7 +43,9 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi."""
+    """All primes p with lo <= p <= hi; hi may not exceed MAX_MODULUS."""
+    if hi > modmath.MAX_MODULUS:
+        raise ValueError(f"primes are searched up to 2**31 - 1, got hi = {hi}")
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
@@ -73,8 +75,7 @@ class PublicKey:
     e: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"public key modulus must be >= 2, got {self.n}")
+        modmath.check_modulus(self.n)
         if self.e <= 1:
             raise ValueError(f"public exponent must be > 1, got {self.e}")
 
@@ -95,8 +96,7 @@ class PrivateKey:
     phi: int | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"private key modulus must be >= 2, got {self.n}")
+        modmath.check_modulus(self.n)
         if self.f <= 1:
             raise ValueError(f"private exponent must be > 1, got {self.f}")
         p, q, phi = self.p, self.q, self.phi
@@ -128,10 +128,7 @@ class RsaKeyPair:
 
     def __post_init__(self):
         _check_prime_pair(self.p, self.q)
-        if self.n != self.p * self.q:
-            raise ValueError(f"n = {self.n} is not p*q = {self.p * self.q}")
-        if self.phi != (self.p - 1) * (self.q - 1):
-            raise ValueError(f"phi = {self.phi} is not (p-1)(q-1) = {(self.p - 1) * (self.q - 1)}")
+        PrivateKey(self.n, self.f, self.p, self.q, self.phi)  # n = p*q, phi = (p-1)(q-1)
         if not 1 < self.e < self.phi or not 1 < self.f < self.phi:
             raise ValueError("exponents must lie strictly between 1 and phi")
         if self.e * self.f % self.phi != 1:
@@ -155,8 +152,7 @@ class NumberMessage:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if not 2 <= self.n <= modmath.MAX_MODULUS:
-            raise InvalidModulusError(self.n)
+        modmath.check_modulus(self.n)
         for v in self.values:
             if not 0 <= v < self.n:
                 raise MessageRangeError(v, self.n)
@@ -175,16 +171,14 @@ def keygen(p: int, q: int, e: int) -> RsaKeyPair:
     (1, phi), so that e*f lands on a critical exponent 1 + k*phi and
     raising to e then f returns every residue to itself.
     """
-    _check_prime_pair(p, q)
-    n = p * q
-    phi = (p - 1) * (q - 1)
+    phi = phi_semiprime(p, q)
     if not 1 < e < phi:
         raise ExponentOutOfRangeError(e, phi)
     g = modmath.gcd(e, phi)
     if g != 1:
         raise ExponentNotUnitError(e, phi, g)
     f = modmath.inverse(modmath.reduce(e, phi)).value
-    return RsaKeyPair(p=p, q=q, n=n, phi=phi, e=e, f=f)
+    return RsaKeyPair(p=p, q=q, n=p * q, phi=phi, e=e, f=f)
 
 
 def encode_text(text: str, n: int) -> NumberMessage:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}: invalid key values (")
 
+    def test_key_modulus_above_cap_is_domain_error(self, tmp_path):
+        big = tmp_path / "pub.txt"
+        big.write_text("kind = public\nn = 2147483648\ne = 3\n")
+        code, out, err = run_cli(["encrypt", "--key", str(big), "--numbers", "1,2"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {big}: invalid key values (invalid modulus 2147483648")
+
+    @pytest.mark.parametrize("number", ["1_0", "\u0663", "+5", " 5"])
+    def test_numbers_are_ascii_decimals(self, number):
+        code, out, err = run_cli(["reduce", number, "7"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument x: invalid int value: {number!r}\n")
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"])[0] == 0
         assert run_cli(["gcd", "--help"])[0] == 0
@@ -189,10 +203,31 @@ class TestStdinVectors:
         assert out == "18,9,2\n"
         assert "line 2" in err
 
+    def test_number_syntax_is_ascii_decimals(self, keys):
+        code, out, err = run_cli(["encrypt", "--key", keys["pub221"]], stdin_text="1\n7,1_0\n")
+        assert (code, out) == (2, "1\n")
+        assert err == "error: standard input line 2: invalid number vector: '7,1_0'\n"
+
+    def test_blanks_around_a_line_are_stripped(self, keys):
+        assert run_cli(["encrypt", "--key", keys["pub22"]], stdin_text=" 2,3 \n") == (0, "18,9\n", "")
+
     def test_junk_line_message(self, keys):
         code, _, err = run_cli(["encrypt", "--key", keys["pub22"]], stdin_text="1\n2,x\n")
         assert code == 2
         assert err == "error: standard input line 2: invalid number vector: '2,x'\n"
+
+
+class TestTable:
+    def test_rows_stream(self):
+        # the 300 x 300 table as Residue objects alone would take ~9 MiB
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["table", "300"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.count("\n") == 300
+        assert peak < 2 * 2**20
 
 
 class TestPipelines:
@@ -327,6 +362,11 @@ class TestBoundedWork:
         assert code == 2, err
         assert out == ""
         assert err.startswith("error: invalid modulus")
+
+    def test_suggest_primes_above_cap_rejected(self):
+        code, out, err = run_cli_process(["suggest-primes", "1000000000000000003", "1000000000000000003"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: primes are searched up to 2**31 - 1")
 
     def test_unwritable_key_file_is_domain_error(self, tmp_path):
         pub = tmp_path / "missing" / "pub.txt"

@@ -55,6 +55,13 @@ def test_partial_optionals_allowed(tmp_path):
     assert key == PrivateKey(221, 53, p=None, q=17, phi=None)
 
 
+def test_modulus_above_cap_rejected(tmp_path):
+    path = tmp_path / "pub.txt"
+    path.write_text("kind = public\nn = 2147483648\ne = 3\n")
+    with pytest.raises(KeyFileError, match="invalid key values"):
+        read_key_file(path)
+
+
 def test_write_rejects_other_types(tmp_path):
     with pytest.raises(TypeError):
         write_key_file(tmp_path / "x", keygen(13, 17, 29))

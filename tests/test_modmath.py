@@ -50,6 +50,12 @@ class TestResidue:
         with pytest.raises(ValueError):
             Residue(-1, Modulus(5))
 
+    def test_float_value_rejected(self):
+        with pytest.raises(TypeError):
+            Residue(2.5, Modulus(5))
+        with pytest.raises(TypeError):
+            reduce(2.5, 5)
+
     def test_operator_sugar(self):
         a = res(2, 5)
         assert (a + 4).value == 1

@@ -5,6 +5,7 @@ from modrsa.errors import (
     EqualPrimesError,
     ExponentNotUnitError,
     ExponentOutOfRangeError,
+    InvalidModulusError,
     MessageRangeError,
     ModulusMismatchError,
     ModulusTooSmallError,
@@ -157,6 +158,36 @@ class TestPrivateKeyConsistency:
         for p, q, e in ((13, 17, 29), (2, 11, 7), (3, 5, 7), (46337, 46327, 65537)):
             key = keygen(p, q, e).private_key
             assert PrivateKey(key.n, key.f, key.p, key.q, key.phi) == key
+
+
+class TestModulusRule:
+    """Keys and messages apply the same modulus rule as Modulus."""
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (PublicKey, (2**31, 3)),
+            (PrivateKey, (2**31, 3)),
+            (PublicKey, (1, 3)),
+            (PrivateKey, (True, 3)),
+            (NumberMessage, ((1,), 221.0)),
+            (NumberMessage, ((1,), 2**31)),
+        ],
+        ids=lambda v: getattr(v, "__name__", repr(v)),
+    )
+    def test_invalid_modulus_rejected(self, make, args):
+        with pytest.raises(InvalidModulusError):
+            make(*args)
+
+    def test_largest_modulus_allowed(self):
+        PublicKey(2**31 - 1, 3)
+        PrivateKey(2**31 - 1, 3)
+        NumberMessage((2**31 - 2,), 2**31 - 1)
+
+    def test_primes_in_range_is_capped(self):
+        assert primes_in_range(2**31 - 10, 2**31 - 1) == [2**31 - 1]
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            primes_in_range(10**18 + 3, 10**18 + 3)
 
 
 class TestNumberMessage:
