@@ -4,7 +4,7 @@ The library splits into four parts:
 
 - modmath: residue arithmetic, Euclid and extended Euclid, fast powers,
   trial-division factoring with phi and square-free tests, critical
-  exponents, CRT coordinates
+  exponents, CRT coordinates and their recombination
 - oracle: deliberately naive mirrors of the above, used as ground truth
 - rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify
 - cli / keyfile: command-line front end and the flat key file format

@@ -21,6 +21,10 @@ class DomainError(Exception):
             args = (self.template.format_map(vars(self)),)
         super().__init__(*args)
 
+    def __reduce__(self):
+        # rebuild from the witnesses, which the constructor takes, not the message in args
+        return type(self), tuple(getattr(self, name) for name in self.fields) or self.args
+
 
 class InvalidModulusError(DomainError):
     fields = ("n",)

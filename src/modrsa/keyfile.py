@@ -7,9 +7,10 @@ be left out, but never reordered or repeated. Files are 7-bit text with
 newline terminators; unknown keys are rejected.
 """
 
+import os
 import re
 
-from .errors import InvalidModulusError, KeyFileError
+from .errors import DomainError, KeyFileError
 from .rsa import PrivateKey, PublicKey
 
 _LINE = re.compile(r"([a-z]+) = (\S+)")
@@ -22,8 +23,13 @@ _REQUIRED = 2
 def write_key_file(path, key) -> None:
     """Write a public or private key in the fixed line format.
 
-    Raises KeyFileError, naming the path, when the file cannot be written.
+    The text goes to a new owner-only temporary file in the same directory,
+    which then replaces path in one step, so a failed write leaves any
+    earlier file at path whole. Raises KeyFileError, naming the path, when
+    the file cannot be written.
     """
+    import tempfile  # here, not at the top, so only commands that write keys pay for its import
+
     for kind, (key_type, names) in _SCHEMA.items():
         if isinstance(key, key_type):
             break
@@ -32,8 +38,15 @@ def write_key_file(path, key) -> None:
     pairs = [("kind", kind)] + [(name, getattr(key, name)) for name in names]
     text = "".join(f"{k} = {v}\n" for k, v in pairs if v is not None)
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        directory, name = os.path.split(path)
+        fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or os.curdir)
+        try:
+            with open(fd, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise KeyFileError(f"{path}: cannot write key file ({exc.strerror})") from None
 
@@ -95,5 +108,5 @@ def read_key_file(path):
 
     try:
         return key_type(**fields)
-    except (ValueError, InvalidModulusError) as exc:
+    except (ValueError, DomainError) as exc:
         raise KeyFileError(f"{path}: invalid key values ({exc})") from None

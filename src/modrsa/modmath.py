@@ -348,3 +348,23 @@ def crt_decompose(x: Residue, p: int, q: int) -> tuple[Residue, Residue]:
     if x.modulus.n != p * q:
         raise ModulusMismatchError(x.modulus.n, p * q)
     return reduce(x.value, p), reduce(x.value, q)
+
+
+def garner(rp: int, rq: int, p: int, q: int, q_inv: int) -> int:
+    """The x in [0, p*q) with x = rp mod p and x = rq mod q (Garner).
+
+    rq must lie in [0, q) and q_inv must be q**-1 mod p. Plain ints, so a
+    caller recombining many values builds no Residue.
+    """
+    return rq + q * ((rp - rq) * q_inv % p)
+
+
+def crt_compose(rp: Residue, rq: Residue) -> Residue:
+    """Inverse of crt_decompose: the residue mod p*q with coordinates (rp, rq).
+
+    p and q are the moduli of the coordinates. They must be coprime, so
+    distinct; otherwise NotAUnitError carries their gcd.
+    """
+    p, q = rp.modulus.n, rq.modulus.n
+    q_inv = inverse(reduce(q, p)).value
+    return Residue(garner(rp.value, rq.value, p, q, q_inv), Modulus(p * q))

@@ -3,7 +3,9 @@
 Key generation from caller-chosen primes (checked by trial division,
 after the modulus bound), the 27-symbol letter codec, and the
 encrypt/decrypt/sign/verify protocol, one letter per residue with no
-blocking. Every message transform is builtin pow applied to each value.
+blocking. Every message transform is builtin pow applied to each value;
+decrypt and sign, given a private key that carries both primes, take
+each power as two half-size powers recombined by CRT.
 Nothing here is secure in any modern sense (no padding, no hashing,
 desk-scale primes); the point is to make the number theory visible, not
 to protect data.
@@ -85,8 +87,10 @@ class PrivateKey:
     """The secret half: modulus n and private exponent f.
 
     May also carry the factors p, q and the unit count phi they imply;
-    those travel in private key files but are not needed to decrypt.
-    Whichever of them are present must agree with n, f and each other.
+    those travel in private key files. Whichever of them are present must
+    agree with n, f and each other, and p and q together must be distinct
+    primes. A key with both factors keeps its CRT exponents, computed once
+    here, and decrypts with them.
     """
 
     n: int
@@ -109,6 +113,12 @@ class PrivateKey:
             raise ValueError(f"phi = {phi} is not (p-1)(q-1) = {(p - 1) * (q - 1)}")
         if phi is not None and math.gcd(self.f, phi) != 1:
             raise ValueError(f"private exponent {self.f} is not a unit mod phi = {phi}")
+        crt = None
+        if p is not None and q is not None:
+            _check_prime_pair(p, q)
+            # f mod (p-1), shifted into [1, p-1] so that 0 still powers to 0 (p = 2 gives f mod 1 = 0)
+            crt = (p, (self.f - 1) % (p - 1) + 1, q, (self.f - 1) % (q - 1) + 1, pow(q, -1, p))
+        object.__setattr__(self, "_crt", crt)  # (p, d_p, q, d_q, q**-1 mod p), not a field
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,8 @@ class RsaKeyPair:
     f: int
 
     def __post_init__(self):
-        _check_prime_pair(self.p, self.q)
-        PrivateKey(self.n, self.f, self.p, self.q, self.phi)  # n = p*q, phi = (p-1)(q-1)
+        # distinct primes, n = p*q, phi = (p-1)(q-1), gcd(f, phi) = 1
+        object.__setattr__(self, "_private_key", PrivateKey(self.n, self.f, self.p, self.q, self.phi))
         if not 1 < self.e < self.phi or not 1 < self.f < self.phi:
             raise ValueError("exponents must lie strictly between 1 and phi")
         if self.e * self.f % self.phi != 1:
@@ -140,7 +150,7 @@ class RsaKeyPair:
 
     @property
     def private_key(self) -> PrivateKey:
-        return PrivateKey(self.n, self.f, self.p, self.q, self.phi)
+        return self._private_key
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,20 @@ def encrypt(msg: NumberMessage, key: PublicKey) -> NumberMessage:
 
 
 def decrypt(msg: NumberMessage, key: PrivateKey) -> NumberMessage:
-    """Raise every message value to the private exponent f."""
-    return _pow_message(msg, key.f, key.n)
+    """Raise every message value to the private exponent f.
+
+    When the key carries p and q, each value v is raised to d_p mod p and
+    to d_q mod q, and the two halves are recombined by modmath.garner
+    (Quisquater-Couvreur CRT). The result is pow(v, f, n) for every v.
+    """
+    if key._crt is None:
+        return _pow_message(msg, key.f, key.n)
+    if msg.n != key.n:
+        raise ModulusMismatchError(msg.n, key.n)
+    p, d_p, q, d_q, q_inv = key._crt
+    garner = modmath.garner
+    values = tuple(garner(pow(v, d_p, p), pow(v, d_q, q), p, q, q_inv) for v in msg.values)
+    return NumberMessage(values, key.n)
 
 
 # Signing is exponentiation by the private f, the same map as decrypt, and

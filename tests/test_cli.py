@@ -143,6 +143,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}: invalid key values (")
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "kind = private\nn = 210\nf = 13\np = 6\nq = 35\nphi = 170\n",
+            "kind = private\nn = 289\nf = 3\np = 17\nq = 17\n",
+        ],
+    )
+    def test_private_key_factors_must_be_distinct_primes(self, tmp_path, content):
+        bad = tmp_path / "priv.txt"
+        bad.write_text(content)
+        code, out, err = run_cli(["decrypt", "--key", str(bad), "1,2"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: invalid key values (")
+
     def test_key_modulus_above_cap_is_domain_error(self, tmp_path):
         big = tmp_path / "pub.txt"
         big.write_text("kind = public\nn = 2147483648\ne = 3\n")

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from modrsa import errors
@@ -49,3 +51,23 @@ def test_plain_errors_take_their_message(cls):
 def test_fields_name_every_witness(cls, witnesses, message):
     err = cls(*witnesses.values())
     assert {name: getattr(err, name) for name in err.fields} == witnesses
+
+
+@pytest.mark.parametrize("cls, witnesses, message", WITNESS_CASES, ids=[c[0].__name__ for c in WITNESS_CASES])
+def test_witness_errors_survive_pickling(cls, witnesses, message):
+    err = pickle.loads(pickle.dumps(cls(*witnesses.values())))
+    assert type(err) is cls
+    assert str(err) == message
+    assert {name: getattr(err, name) for name in err.fields} == witnesses
+
+
+@pytest.mark.parametrize("cls", [errors.DomainError, errors.UndefinedGcdError, errors.KeyFileError])
+def test_plain_errors_survive_pickling(cls):
+    err = pickle.loads(pickle.dumps(cls("key.txt: line 2: malformed line")))
+    assert type(err) is cls
+    assert str(err) == "key.txt: line 2: malformed line"
+
+
+def test_cases_cover_every_error_class():
+    covered = {case[0] for case in WITNESS_CASES} | {errors.UndefinedGcdError, errors.KeyFileError}
+    assert covered == set(errors.DomainError.__subclasses__())

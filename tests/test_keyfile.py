@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import modrsa
 from modrsa.errors import KeyFileError
 from modrsa.keyfile import read_key_file, write_key_file
 from modrsa.rsa import PrivateKey, PublicKey, keygen
@@ -127,6 +132,48 @@ def test_oversized_value_names_line(tmp_path):
 
 def test_inconsistent_private_key_rejected(tmp_path):
     _expect_error(tmp_path, b"kind = private\nn = 221\nf = 53\np = 11\nq = 17\nphi = 5\n", "invalid key values")
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"kind = private\nn = 210\nf = 13\np = 6\nq = 35\nphi = 170\n", "p = 6 is not prime"),
+        (b"kind = private\nn = 289\nf = 3\np = 17\nq = 17\n", "p and q must be distinct primes (both are 17)"),
+    ],
+)
+def test_factors_that_are_not_distinct_primes_rejected(tmp_path, content, reason):
+    _expect_error(tmp_path, content, f"invalid key values ({reason})")
+
+
+# Writes the 221 private key to argv[1] with the file size limit at 20 bytes,
+# so the write fails part way, as on a full disk.
+_LIMITED_WRITE = """
+import resource, signal, sys
+from modrsa.errors import KeyFileError
+from modrsa.keyfile import write_key_file
+from modrsa.rsa import PrivateKey
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    write_key_file(sys.argv[1], PrivateKey(221, 53, 13, 17, 192))
+except KeyFileError as exc:
+    print(exc)
+"""
+
+
+def test_failed_write_leaves_existing_key_file_whole(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "priv.txt"
+    write_key_file(path, PrivateKey(22, 3))
+    before = path.read_bytes()
+    src = str(Path(modrsa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_WRITE, str(path)], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.stdout.startswith(f"{path}: cannot write key file ("), proc.stderr
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["priv.txt"]
 
 
 _NAMES = ["kind", "n", "e", "f", "p", "q", "phi", "x"]  # every field name and one unknown key

@@ -16,6 +16,7 @@ from modrsa.modmath import (
     ResidueClass,
     classify,
     critical_exponents,
+    crt_compose,
     crt_decompose,
     divide,
     extended_gcd,
@@ -353,6 +354,23 @@ class TestCrtDecompose:
     def test_equal_factors_rejected(self):
         with pytest.raises(ValueError):
             crt_decompose(res(3, 9), 3, 3)
+
+
+class TestCrtCompose:
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (3, 5), (5, 3), (2, 11), (13, 17), (17, 13)])
+    def test_inverts_decompose(self, p, q):
+        for x in range(p * q):
+            assert crt_compose(*crt_decompose(res(x, p * q), p, q)) == res(x, p * q)
+
+    def test_coordinates_of_a_large_modulus(self):
+        x = res(2_000_000_000, 46337 * 46327)
+        assert crt_compose(*crt_decompose(x, 46337, 46327)) == x
+
+    @pytest.mark.parametrize("p, q", [(4, 6), (3, 3)])
+    def test_moduli_sharing_a_factor_rejected(self, p, q):
+        with pytest.raises(NotAUnitError) as exc:
+            crt_compose(res(1, p), res(1, q))
+        assert exc.value.gcd == math.gcd(p, q)
 
 
 def _sieve_primes(limit):

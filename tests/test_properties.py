@@ -227,3 +227,35 @@ def test_keygen_produces_inverse_exponents(p, q, e):
     assert pair.e * pair.f % pair.phi == 1
     assert 1 < pair.f < pair.phi
     assert pair.phi == oracle.phi_brute(pair.n)
+
+
+# --- CRT decryption ---------------------------------------------------------
+
+# p = 2 and q = 2 both occur, and products up to the 2**31 - 1 cap; not 3,
+# since 2 * 3 leaves no exponent with 1 < e < phi = 2
+_CRT_PRIMES = [2, 5, 7, 11, 13, 46327, 46337]
+
+
+@st.composite
+def _crt_key_and_values(draw):
+    """A keygen pair and values including 0, n - 1 and multiples of p and of q."""
+    p, q = draw(st.lists(st.sampled_from(_CRT_PRIMES), min_size=2, max_size=2, unique=True))
+    phi = (p - 1) * (q - 1)
+    e = draw(st.integers(2, phi - 1).filter(lambda e: math.gcd(e, phi) == 1))
+    n = p * q
+    value = st.one_of(
+        st.integers(0, n - 1),
+        st.integers(0, q - 1).map(lambda k: k * p),
+        st.integers(0, p - 1).map(lambda k: k * q),
+        st.sampled_from([0, n - 1]),
+    )
+    return rsa.keygen(p, q, e), draw(st.lists(value, max_size=20))
+
+
+@given(_crt_key_and_values())
+def test_crt_decrypt_and_sign_equal_the_full_power(pair_values):
+    pair, values = pair_values
+    msg = rsa.NumberMessage(tuple(values), pair.n)
+    expected = tuple(pow(v, pair.f, pair.n) for v in values)
+    assert rsa.decrypt(msg, pair.private_key).values == expected
+    assert rsa.sign(msg, pair.private_key).values == expected

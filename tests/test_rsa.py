@@ -160,6 +160,37 @@ class TestPrivateKeyConsistency:
             assert PrivateKey(key.n, key.f, key.p, key.q, key.phi) == key
 
 
+class TestPrimeFactors:
+    """With both factors present, a private key proves them distinct primes."""
+
+    def test_composite_factor_rejected(self):
+        with pytest.raises(NonPrimeError) as exc:
+            PrivateKey(210, 13, p=6, q=35, phi=170)
+        assert (exc.value.name, exc.value.value) == ("p", 6)
+
+    def test_equal_factors_rejected(self):
+        with pytest.raises(EqualPrimesError):
+            PrivateKey(289, 3, p=17, q=17)
+
+    def test_crt_exponents_are_not_fields(self):
+        key = PrivateKey(221, 53, 13, 17, 192)
+        assert key == PrivateKey(221, 53, 13, 17, 192)
+        assert repr(key) == "PrivateKey(n=221, f=53, p=13, q=17, phi=192)"
+
+    def test_keygen_tests_each_prime_twice_at_most(self, monkeypatch):
+        tested = []
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(rsa, "is_prime", counting_is_prime)
+        pair = keygen(1073741789, 2, 3)
+        assert len(tested) <= 4
+        assert pair.private_key is pair.private_key
+        assert len(tested) <= 4
+
+
 class TestModulusRule:
     """Keys and messages apply the same modulus rule as Modulus."""
 
