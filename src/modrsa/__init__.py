@@ -5,12 +5,13 @@ The library splits into four parts:
 - modmath: residue arithmetic, Euclid and extended Euclid, fast powers,
   trial-division factoring with phi and square-free tests, critical
   exponents, CRT coordinates and their recombination
-- oracle: deliberately naive mirrors of the above, used as ground truth
+- oracle: deliberately naive mirrors of the above, used as ground truth;
+  imported on first access to modrsa.oracle
 - rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify
 - cli / keyfile: command-line front end and the flat key file format
 """
 
-from . import keyfile, modmath, oracle, rsa
+from . import keyfile, modmath, rsa
 from .errors import (
     DomainError,
     EqualPrimesError,
@@ -39,6 +40,16 @@ from .modmath import (
 from .rsa import NumberMessage, PrivateKey, PublicKey, RsaKeyPair
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # oracle is imported on first use (PEP 562), so commands without --check skip it
+    if name == "oracle":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.oracle")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "modmath",

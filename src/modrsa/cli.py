@@ -13,7 +13,7 @@ import re
 import sys
 from itertools import chain, repeat
 
-from . import modmath, oracle, rsa
+from . import modmath, rsa
 from .errors import DomainError, KeyFileError
 from .keyfile import read_key_file, write_key_file
 
@@ -121,6 +121,8 @@ def _cmd_inverse(args, stdin, out):
     result = modmath.inverse(x)
     print(result.value, file=out)
     if args.check:
+        from . import oracle  # only --check needs the naive mirrors
+
         brute = oracle.inverse_brute(x)
         _check_line(brute is not None and brute.value == result.value,
                     None if brute is None else brute.value, out)
@@ -148,6 +150,8 @@ def _cmd_phi(args, stdin, out):
     result = modmath.phi(n)
     print(result, file=out)
     if args.check:
+        from . import oracle  # only --check needs the naive mirrors
+
         brute = oracle.phi_brute(n)
         _check_line(brute == result, brute, out)
 
@@ -157,6 +161,8 @@ def _cmd_powmod(args, stdin, out):
     result = modmath.pow_mod(x, args.e)
     print(result.value, file=out)
     if args.check:
+        from . import oracle  # only --check needs the naive mirrors
+
         brute = oracle.naive_pow(x, args.e)
         _check_line(brute.value == result.value, brute.value, out)
 
@@ -319,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--text", action="store_true", dest="decode", help="decode the result to letters")
             p.add_argument("numbers", type=_vector, nargs="?", metavar="V1,V2,...")
 
-    p = command("suggest-primes", _cmd_suggest_primes, "primes in [lo, hi], by trial division")
+    p = command("suggest-primes", _cmd_suggest_primes, "primes in [lo, hi], by a segmented sieve")
     p.add_argument("lo", type=_natural)
     p.add_argument("hi", type=_natural)
 

@@ -7,18 +7,20 @@ that, and nothing needs arbitrary precision.
 
 Where the standard library runs the same algorithm it does the work:
 three-argument pow is square-and-multiply, pow(x, -1, n) and math.gcd are
-Euclid. extended_gcd keeps the Euclid table for display. One trial-division
-factoriser, prime_factors, serves primality, square-freeness and phi.
+Euclid. extended_gcd keeps only the Euclid quotients and rebuilds the
+table from them when it is read. One trial-division factoriser,
+prime_factors, serves primality, square-freeness and phi.
 
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
+The value types are plain __slots__ classes on one small base, Value,
+rather than dataclasses, so importing the package stays cheap.
 """
 
 import enum
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from operator import attrgetter, itemgetter
 
 from .errors import (
     InvalidModulusError,
@@ -30,6 +32,48 @@ from .errors import (
 
 MAX_MODULUS = 2**31 - 1
 
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value types: equality, hash and repr over _fields.
+
+    Each subclass lists its fields in _fields and its slots in __slots__,
+    and has a plain __init__ that stores the fields with _set; a class that
+    validates ends it with self.__post_init__(), looked up on the class.
+    Two values are equal when they have the same class and equal fields.
+    Assignment and deletion raise AttributeError; pickle and copy rebuild a
+    value through its __init__, so the rebuilt value is validated too.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls._fields)  # what equality and hashing compare
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
 
 def check_modulus(n) -> int:
     """n if it is a valid modulus, an int (not a bool) with 2 <= n <= MAX_MODULUS."""
@@ -38,11 +82,14 @@ def check_modulus(n) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(Value):
     """Clock size n >= 2; all arithmetic wraps modulo n."""
 
-    n: int
+    __slots__ = _fields = ("n",)
+
+    def __init__(self, n):
+        _set(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self):
         check_modulus(self.n)
@@ -55,8 +102,7 @@ def _as_modulus(n) -> Modulus:
     return n if isinstance(n, Modulus) else Modulus(n)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Value):
     """Canonical representative of an integer class modulo a fixed n.
 
     The constructor insists on canonical form; use reduce() to wrap an
@@ -64,8 +110,12 @@ class Residue:
     Residue with the same modulus, or a plain int which is reduced first.
     """
 
-    value: int
-    modulus: Modulus
+    __slots__ = _fields = ("value", "modulus")
+
+    def __init__(self, value, modulus):
+        _set(self, "value", value)
+        _set(self, "modulus", modulus)
+        self.__post_init__()
 
     def __post_init__(self):
         if isinstance(self.value, bool) or not isinstance(self.value, int):
@@ -170,43 +220,88 @@ def gcd(x: int, y: int) -> int:
     return math.gcd(x, y)
 
 
-class TraceRow(NamedTuple):
-    """One row of the tabular extended-Euclid computation.
+class TraceRow(tuple):
+    """One row (n, quotient, a, b) of the tabular extended-Euclid computation.
 
     Every row satisfies a*x + b*y = n for the trace inputs (x, y). The
     quotient is the whole part of the division producing the next row; it
     is absent on the first row and on the terminal zero row.
     """
 
-    n: int
-    quotient: int | None
-    a: int
-    b: int
+    __slots__ = ()
+
+    def __new__(cls, n, quotient, a, b):
+        return tuple.__new__(cls, (n, quotient, a, b))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return "TraceRow(n={!r}, quotient={!r}, a={!r}, b={!r})".format(*self)
+
+    n = property(itemgetter(0))
+    quotient = property(itemgetter(1))
+    a = property(itemgetter(2))
+    b = property(itemgetter(3))
 
 
-@dataclass(frozen=True)
-class EuclidTrace:
+def _euclid_rows(x: int, y: int, quotients) -> tuple[TraceRow, ...]:
+    """The table for x >= y >= 1 from its quotients: each row after the first
+    two is row[i-2] - quotient[i-1] * row[i-1], columnwise."""
+    rows = [TraceRow(x, None, 1, 0)]
+    (n0, a0, b0), (n1, a1, b1) = (x, 1, 0), (y, 0, 1)
+    for q in quotients:
+        rows.append(TraceRow(n1, q, a1, b1))
+        (n0, a0, b0), (n1, a1, b1) = (n1, a1, b1), (n0 - q * n1, a0 - q * a1, b0 - q * b1)
+    rows.append(TraceRow(0, None, a1, b1))
+    return tuple(rows)
+
+
+class EuclidTrace(Value):
     """The full table produced by the extended Euclidean algorithm.
 
     Row one is (x, -, 1, 0), row two (y, q, 0, 1); each later row is
     row[i-2] - quotient[i-1] * row[i-1], columnwise. The n column strictly
-    decreases and ends at 0.
+    decreases and ends at 0. extended_gcd hands over only the quotients;
+    the rows are built from them the first time they are read.
     """
 
-    x: int
-    y: int
-    rows: tuple[TraceRow, ...]
+    _fields = ("x", "y", "rows")
+    __slots__ = ("x", "y", "_rows", "_quotients")
+
+    def __init__(self, x, y, rows):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "_rows", rows)
+
+    @classmethod
+    def _from_quotients(cls, x, y, quotients):
+        trace = cls.__new__(cls)
+        _set(trace, "x", x)
+        _set(trace, "y", y)
+        _set(trace, "_quotients", quotients)
+        return trace
+
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        try:
+            return self._rows
+        except AttributeError:
+            _set(self, "_rows", _euclid_rows(self.x, self.y, self._quotients))
+            return self._rows
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(Value):
     """Witness that a*x + b*y = g, where g is the gcd of x and y."""
 
-    g: int
-    a: int
-    b: int
-    x: int
-    y: int
+    __slots__ = _fields = ("g", "a", "b", "x", "y")
+
+    def __init__(self, g, a, b, x, y):
+        _set(self, "g", g)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
 def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
@@ -215,7 +310,9 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
     The table wants x >= y, so calling with x < y swaps the inputs
     internally and swaps the returned coefficients back: the certificate
     always satisfies a*x + b*y = g for the caller's (x, y), while the
-    trace shows the table that was actually computed.
+    trace shows the table that was actually computed. The loop keeps only
+    the quotients and the last two (n, a) pairs; b follows from
+    a*x + b*y = g, and the trace builds its rows on first use.
     """
     if x < 1 or y < 1:
         raise UndefinedGcdError("extended gcd needs two integers >= 1")
@@ -223,16 +320,15 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
         cert, trace = extended_gcd(y, x)
         return BezoutCertificate(cert.g, cert.b, cert.a, x, y), trace
 
-    rows = [TraceRow(x, None, 1, 0)]
-    (n0, a0, b0), (n1, a1, b1) = (x, 1, 0), (y, 0, 1)
+    quotients = []
+    n0, a0, n1, a1 = x, 1, y, 0
     while n1:
         q = n0 // n1
-        rows.append(TraceRow(n1, q, a1, b1))
-        (n0, a0, b0), (n1, a1, b1) = (n1, a1, b1), (n0 - q * n1, a0 - q * a1, b0 - q * b1)
-    rows.append(TraceRow(0, None, a1, b1))
+        quotients.append(q)
+        n0, a0, n1, a1 = n1, a1, n0 - q * n1, a0 - q * a1
 
-    cert = BezoutCertificate(n0, a0, b0, x, y)
-    return cert, EuclidTrace(x, y, tuple(rows))
+    cert = BezoutCertificate(n0, a0, (n0 - a0 * x) // y, x, y)
+    return cert, EuclidTrace._from_quotients(x, y, quotients)
 
 
 def inverse(x: Residue) -> Residue:

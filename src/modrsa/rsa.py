@@ -1,7 +1,8 @@
 """Textbook RSA over small moduli.
 
 Key generation from caller-chosen primes (checked by trial division,
-after the modulus bound), the 27-symbol letter codec, and the
+after the modulus bound), prime ranges by a segmented sieve of
+Eratosthenes, the 27-symbol letter codec, and the
 encrypt/decrypt/sign/verify protocol, one letter per residue with no
 blocking. Every message transform is builtin pow applied to each value;
 decrypt and sign, given a private key that carries both primes, take
@@ -11,8 +12,9 @@ desk-scale primes); the point is to make the number theory visible, not
 to protect data.
 """
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass
 
 from . import modmath
 from .errors import (
@@ -27,6 +29,7 @@ from .errors import (
     UnsupportedCharacterError,
     ValueOutOfAlphabetError,
 )
+from .modmath import Value as _Value, _set
 
 # A = 1, B = 2, ..., Z = 26, space = 27.
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
@@ -44,11 +47,35 @@ def is_prime(n: int) -> bool:
     return n >= 2 and next(modmath.prime_factors(n)) == n
 
 
+# numbers per sieve segment: the window is crossed off this many at a time
+_SEGMENT = 2**16
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi; hi may not exceed MAX_MODULUS."""
+    """All primes p with lo <= p <= hi; hi may not exceed MAX_MODULUS.
+
+    A segmented sieve of Eratosthenes (Bays and Hudson 1977): the primes up
+    to sqrt(hi), found by the same sieve, cross off their multiples in the
+    window, _SEGMENT numbers at a time, so memory stays fixed however wide
+    the window is.
+    """
     if hi > modmath.MAX_MODULUS:
         raise ValueError(f"primes are searched up to 2**31 - 1, got hi = {hi}")
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    lo = max(lo, 2)
+    if lo > hi:
+        return []
+    base = primes_in_range(2, math.isqrt(hi))
+    primes = []
+    for start in range(lo, hi + 1, _SEGMENT):
+        size = min(_SEGMENT, hi + 1 - start)
+        segment = bytearray([1]) * size
+        for p in base[: bisect.bisect(base, math.isqrt(start + size - 1))]:
+            # offset of the first multiple of p to cross off: p*p, or the first in the segment
+            first = p * p - start if p * p > start else -start % p
+            if first < size:
+                segment[first::p] = bytes((size - 1 - first) // p + 1)
+        primes.extend(itertools.compress(range(start, start + size), segment))
+    return primes
 
 
 def _check_prime_pair(p: int, q: int) -> None:
@@ -69,12 +96,15 @@ def phi_semiprime(p: int, q: int) -> int:
     return (p - 1) * (q - 1)
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(_Value):
     """The shared half of a key pair: modulus n and public exponent e."""
 
-    n: int
-    e: int
+    __slots__ = _fields = ("n", "e")
+
+    def __init__(self, n, e):
+        _set(self, "n", n)
+        _set(self, "e", e)
+        self.__post_init__()
 
     def __post_init__(self):
         modmath.check_modulus(self.n)
@@ -82,22 +112,26 @@ class PublicKey:
             raise ValueError(f"public exponent must be > 1, got {self.e}")
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(_Value):
     """The secret half: modulus n and private exponent f.
 
     May also carry the factors p, q and the unit count phi they imply;
     those travel in private key files. Whichever of them are present must
     agree with n, f and each other, and p and q together must be distinct
-    primes. A key with both factors keeps its CRT exponents, computed once
-    here, and decrypts with them.
+    primes whose phi = (p-1)(q-1) has f as a unit. A key with both factors
+    keeps its CRT exponents, computed once here, and decrypts with them.
     """
 
-    n: int
-    f: int
-    p: int | None = None
-    q: int | None = None
-    phi: int | None = None
+    _fields = ("n", "f", "p", "q", "phi")
+    __slots__ = _fields + ("_crt",)
+
+    def __init__(self, n, f, p=None, q=None, phi=None):
+        _set(self, "n", n)
+        _set(self, "f", f)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "phi", phi)
+        self.__post_init__()
 
     def __post_init__(self):
         modmath.check_modulus(self.n)
@@ -107,38 +141,45 @@ class PrivateKey:
         for name, factor in (("p", p), ("q", q)):
             if factor is not None and not (1 < factor < self.n and self.n % factor == 0):
                 raise ValueError(f"{name} = {factor} is not a proper factor of n = {self.n}")
-        if p is not None and q is not None and p * q != self.n:
-            raise ValueError(f"n = {self.n} is not p*q = {p * q}")
-        if None not in (p, q, phi) and phi != (p - 1) * (q - 1):
-            raise ValueError(f"phi = {phi} is not (p-1)(q-1) = {(p - 1) * (q - 1)}")
+        both = p is not None and q is not None
+        if both:
+            if p * q != self.n:
+                raise ValueError(f"n = {self.n} is not p*q = {p * q}")
+            if phi is not None and phi != (p - 1) * (q - 1):
+                raise ValueError(f"phi = {phi} is not (p-1)(q-1) = {(p - 1) * (q - 1)}")
+            phi = (p - 1) * (q - 1)  # the factors imply phi, written or not
         if phi is not None and math.gcd(self.f, phi) != 1:
             raise ValueError(f"private exponent {self.f} is not a unit mod phi = {phi}")
         crt = None
-        if p is not None and q is not None:
+        if both:
             _check_prime_pair(p, q)
             # f mod (p-1), shifted into [1, p-1] so that 0 still powers to 0 (p = 2 gives f mod 1 = 0)
             crt = (p, (self.f - 1) % (p - 1) + 1, q, (self.f - 1) % (q - 1) + 1, pow(q, -1, p))
-        object.__setattr__(self, "_crt", crt)  # (p, d_p, q, d_q, q**-1 mod p), not a field
+        _set(self, "_crt", crt)  # (p, d_p, q, d_q, q**-1 mod p), not a field
 
 
-@dataclass(frozen=True)
-class RsaKeyPair:
+class RsaKeyPair(_Value):
     """Everything keygen knows: primes, modulus, unit count, both exponents.
 
     The constructor re-checks the defining relations, so a key pair object
     is always internally consistent no matter how it was built.
     """
 
-    p: int
-    q: int
-    n: int
-    phi: int
-    e: int
-    f: int
+    _fields = ("p", "q", "n", "phi", "e", "f")
+    __slots__ = _fields + ("_private_key",)
+
+    def __init__(self, p, q, n, phi, e, f):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "phi", phi)
+        _set(self, "e", e)
+        _set(self, "f", f)
+        self.__post_init__()
 
     def __post_init__(self):
         # distinct primes, n = p*q, phi = (p-1)(q-1), gcd(f, phi) = 1
-        object.__setattr__(self, "_private_key", PrivateKey(self.n, self.f, self.p, self.q, self.phi))
+        _set(self, "_private_key", PrivateKey(self.n, self.f, self.p, self.q, self.phi))
         if not 1 < self.e < self.phi or not 1 < self.f < self.phi:
             raise ValueError("exponents must lie strictly between 1 and phi")
         if self.e * self.f % self.phi != 1:
@@ -153,15 +194,17 @@ class RsaKeyPair:
         return self._private_key
 
 
-@dataclass(frozen=True)
-class NumberMessage:
+class NumberMessage(_Value):
     """A sequence of residues modulo n; the wire form of every message."""
 
-    values: tuple[int, ...]
-    n: int
+    __slots__ = _fields = ("values", "n")
+
+    def __init__(self, values, n):
+        _set(self, "values", tuple(values))
+        _set(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
         modmath.check_modulus(self.n)
         for v in self.values:
             if not 0 <= v < self.n:
@@ -180,13 +223,17 @@ def keygen(p: int, q: int, e: int) -> RsaKeyPair:
     f is the reciprocal of e modulo phi = (p-1)*(q-1), canonicalized into
     (1, phi), so that e*f lands on a critical exponent 1 + k*phi and
     raising to e then f returns every residue to itself.
+
+    p and q are tested once: by the key pair's private key when e suits
+    (p-1)*(q-1), and otherwise by phi_semiprime before e is blamed, so a
+    fault in p or q is always the one reported.
     """
-    phi = phi_semiprime(p, q)
-    if not 1 < e < phi:
-        raise ExponentOutOfRangeError(e, phi)
-    g = modmath.gcd(e, phi)
-    if g != 1:
-        raise ExponentNotUnitError(e, phi, g)
+    phi = (p - 1) * (q - 1)
+    if p * q > modmath.MAX_MODULUS or not 1 < e < phi or modmath.gcd(e, phi) != 1:
+        phi_semiprime(p, q)
+        if not 1 < e < phi:
+            raise ExponentOutOfRangeError(e, phi)
+        raise ExponentNotUnitError(e, phi, modmath.gcd(e, phi))
     f = modmath.inverse(modmath.reduce(e, phi)).value
     return RsaKeyPair(p=p, q=q, n=p * q, phi=phi, e=e, f=f)
 

@@ -157,6 +157,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}: invalid key values (")
 
+    def test_private_key_exponent_must_be_a_unit_mod_the_implied_phi(self, tmp_path):
+        bad = tmp_path / "priv.txt"
+        bad.write_text("kind = private\nn = 221\nf = 2\np = 13\nq = 17\n")
+        code, out, err = run_cli(["decrypt", "--key", str(bad), "4,9"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: invalid key values (private exponent 2 is not a unit mod phi = 192)\n"
+
     def test_key_modulus_above_cap_is_domain_error(self, tmp_path):
         big = tmp_path / "pub.txt"
         big.write_text("kind = public\nn = 2147483648\ne = 3\n")

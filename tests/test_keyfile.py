@@ -145,6 +145,11 @@ def test_factors_that_are_not_distinct_primes_rejected(tmp_path, content, reason
     _expect_error(tmp_path, content, f"invalid key values ({reason})")
 
 
+def test_factors_imply_phi_for_the_exponent_check(tmp_path):
+    content = b"kind = private\nn = 221\nf = 2\np = 13\nq = 17\n"
+    _expect_error(tmp_path, content, "invalid key values (private exponent 2 is not a unit mod phi = 192)")
+
+
 # Writes the 221 private key to argv[1] with the file size limit at 20 bytes,
 # so the write fails part way, as on a full disk.
 _LIMITED_WRITE = """

@@ -191,6 +191,53 @@ class TestPrimeFactors:
         assert len(tested) <= 4
 
 
+class TestImpliedPhi:
+    """With both factors, f must be a unit mod (p-1)(q-1), whether phi is written or not."""
+
+    @pytest.mark.parametrize("phi", [None, 192])
+    def test_exponent_sharing_a_factor_with_the_implied_phi_rejected(self, phi):
+        with pytest.raises(ValueError, match=r"private exponent 2 is not a unit mod phi = 192"):
+            PrivateKey(221, 2, p=13, q=17, phi=phi)
+
+    def test_partial_keys_without_both_factors_still_accept_f(self):
+        PrivateKey(221, 2, p=13)
+        PrivateKey(221, 2, q=17)
+
+    def test_valid_key_without_phi_decrypts(self):
+        key = PrivateKey(221, 53, p=13, q=17)
+        assert decrypt(NumberMessage((4, 9), 221), key) == NumberMessage((pow(4, 53, 221), pow(9, 53, 221)), 221)
+
+
+class TestKeygenPrimality:
+    def test_keygen_tests_each_prime_once(self, monkeypatch):
+        tested = []
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(rsa, "is_prime", counting_is_prime)
+        pair = keygen(1073741723, 2, 5)
+        assert len(tested) <= 2
+        assert pair.private_key.p == 1073741723
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((1073741789, 1, 3), NonPrimeError),
+            ((9, 7, 5), NonPrimeError),
+            ((1, 7, 5), NonPrimeError),
+            ((13, 13, 5), EqualPrimesError),
+            ((13, 17, 192), ExponentOutOfRangeError),
+            ((13, 17, 2), ExponentNotUnitError),
+            ((2**16 + 1, 2**16 + 3, 5), InvalidModulusError),
+        ],
+    )
+    def test_single_faults_keep_their_errors(self, args, error):
+        with pytest.raises(error):
+            keygen(*args)
+
+
 class TestModulusRule:
     """Keys and messages apply the same modulus rule as Modulus."""
 
