@@ -7,7 +7,8 @@ The library splits into four parts:
   exponents, CRT coordinates and their recombination
 - oracle: deliberately naive mirrors of the above, used as ground truth;
   imported on first access to modrsa.oracle
-- rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify
+- rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify,
+  and decode_stream, which decodes a stream of texts through a letter table
 - cli / keyfile: command-line front end and the flat key file format
 """
 

@@ -208,8 +208,6 @@ def _input_messages(args, stdin, n):
     Stdin is read line by line, so each result can be printed before the
     next line is parsed.
     """
-    if args.numbers is not None and args.text is not None:
-        args.parser.error("give either TEXT or --numbers, not both")
     if args.numbers is not None:
         yield rsa.NumberMessage(args.numbers, n)
     elif args.text is not None:
@@ -225,13 +223,16 @@ def _input_messages(args, stdin, n):
 
 def _cmd_power(args, stdin, out):
     """encrypt, sign, decrypt and verify: raise each message to the key's exponent."""
+    if args.numbers is not None and args.text is not None:
+        args.parser.error("give either TEXT or --numbers, not both")
     key = _load_key(args.key, args.key_type)
-    for msg in _input_messages(args, stdin, key.n):
-        result = args.transform(msg, key)
-        if args.decode:
-            print(rsa.decode_text(result), file=out)
-        else:
-            _print_vector(result, out)
+    messages = _input_messages(args, stdin, key.n)
+    if args.decode:
+        for line in rsa.decode_stream(messages, args.transform, key):
+            print(line, file=out)
+    else:
+        for msg in messages:
+            _print_vector(args.transform(msg, key), out)
 
 
 def _cmd_suggest_primes(args, stdin, out):

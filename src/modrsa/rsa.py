@@ -6,7 +6,10 @@ Eratosthenes, the 27-symbol letter codec, and the
 encrypt/decrypt/sign/verify protocol, one letter per residue with no
 blocking. Every message transform is builtin pow applied to each value;
 decrypt and sign, given a private key that carries both primes, take
-each power as two half-size powers recombined by CRT.
+each power as two half-size powers recombined by CRT. One letter per
+residue makes a transformed text a substitution cipher over 27 codes,
+so decode_stream decodes a stream of them through a table of at most 27
+values, powering each distinct value once.
 Nothing here is secure in any modern sense (no padding, no hashing,
 desk-scale primes); the point is to make the number theory visible, not
 to protect data.
@@ -256,13 +259,53 @@ def encode_text(text: str, n: int) -> NumberMessage:
 
 
 def decode_text(msg: NumberMessage) -> str:
-    """Exact inverse of encode_text; every value must be a letter code 1..27."""
+    """Exact inverse of encode_text; every value must be a letter code 1..27.
+
+    The first value outside 1..27 is reported with its position. To decode
+    a stream of transformed messages, decode_stream gives the same lines
+    and powers each distinct value once.
+    """
     chars = []
     for pos, v in enumerate(msg.values):
         if not 1 <= v <= len(ALPHABET):
             raise ValueOutOfAlphabetError(v, pos)
         chars.append(ALPHABET[v - 1])
     return "".join(chars)
+
+
+def decode_stream(messages, transform, key):
+    """Yield decode_text(transform(msg, key)) for each message, in order.
+
+    One letter per residue makes a transformed text a substitution cipher
+    over the 27 letter codes, so a stream repeats few values. The values a
+    message holds that the table does not go once through transform, as one
+    NumberMessage, and the line is joined from the table. The table keeps a
+    value only when its power is a letter code, and at most len(ALPHABET)
+    values: every valid value when the key's map is one-to-one. A key whose
+    map is not (a public key from a file need not be) has its further
+    values powered again on each line that holds them. A line holding a
+    value whose power is outside 1..27 raises ValueOutOfAlphabetError for
+    the first such position, as decode_text does.
+    """
+    table = {}  # value -> the letter its power codes
+    for msg in messages:
+        if msg.n != key.n:
+            raise ModulusMismatchError(msg.n, key.n)
+        missing = set(msg.values).difference(table)
+        extra, bad = {}, {}  # this line's values the table does not keep
+        if missing:
+            for v, code in zip(missing, transform(NumberMessage(missing, key.n), key)):
+                if not 1 <= code <= len(ALPHABET):
+                    bad[v] = code
+                elif len(table) < len(ALPHABET):
+                    table[v] = ALPHABET[code - 1]
+                else:
+                    extra[v] = ALPHABET[code - 1]
+        if bad:
+            pos = next(pos for pos, v in enumerate(msg.values) if v in bad)
+            raise ValueOutOfAlphabetError(bad[msg.values[pos]], pos)
+        line = {**table, **extra} if extra else table
+        yield "".join(map(line.__getitem__, msg.values))
 
 
 def _pow_message(msg: NumberMessage, exponent: int, n: int) -> NumberMessage:

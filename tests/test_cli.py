@@ -10,7 +10,7 @@ import pytest
 import modrsa
 from cli_cases import GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
 from modrsa.keyfile import read_key_file
-from modrsa.rsa import ALPHABET, PrivateKey, PublicKey
+from modrsa.rsa import ALPHABET, PrivateKey, PublicKey, encode_text, keygen, sign, verify
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,13 @@ class TestExitCodes:
     def test_both_text_and_numbers_is_usage_error(self, keys):
         code, _, err = run_cli(["encrypt", "--key", keys["pub221"], "--numbers", "1,2", "HI"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["encrypt", "sign"])
+    def test_both_text_and_numbers_is_checked_before_the_key_is_read(self, command, tmp_path, capsys):
+        assert run_cli([command, "--help"])[0] == 0
+        help_text = capsys.readouterr().out
+        argv = [command, "--key", str(tmp_path / "missing.txt"), "--numbers", "1,2", "HELLO"]
+        assert run_cli(argv) == (1, "", f"error: give either TEXT or --numbers, not both\n{help_text}")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -236,6 +243,36 @@ class TestStdinVectors:
         code, _, err = run_cli(["encrypt", "--key", keys["pub22"]], stdin_text="1\n2,x\n")
         assert code == 2
         assert err == "error: standard input line 2: invalid number vector: '2,x'\n"
+
+
+class TestTextStreams:
+    def test_lines_before_a_line_outside_the_alphabet_are_answered(self, keys):
+        # signatures of HELLO and WORLD; line 3 repeats line 1's 60,31 before 172, which verifies to 100
+        stdin_text = "60,31,207,207,19\n160,19,18,207,140\n60,31,172,207\n1,41,141,31,18\n"
+        assert run_cli(["verify", "--key", keys["pub221"], "--text"], stdin_text=stdin_text) == (
+            2,
+            "HELLO\nWORLD\n",
+            "error: value 100 at position 2 is outside the letter alphabet 1..27\n",
+        )
+
+    def test_each_distinct_value_is_verified_once(self, keys, monkeypatch):
+        pair = keygen(13, 17, 29)
+        rng = random.Random(27)
+        texts = ["".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 41))) for _ in range(1500)]
+        signed = "".join(
+            ",".join(str(v) for v in sign(encode_text(text, pair.n), pair.private_key)) + "\n" for text in texts
+        )
+        powered = []
+
+        def counting_verify(msg, key):
+            powered.extend(msg.values)
+            return verify(msg, key)
+
+        monkeypatch.setattr(modrsa.rsa, "verify", counting_verify)
+        code, out, err = run_cli(["verify", "--key", keys["pub221"], "--text"], stdin_text=signed)
+        assert (code, err) == (0, "")
+        assert out == "".join(text + "\n" for text in texts)
+        assert len(powered) <= len(ALPHABET)
 
 
 class TestTable:

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modrsa import modmath, oracle, rsa
-from modrsa.errors import NotAUnitError
+from modrsa.errors import DomainError, NotAUnitError
 from modrsa.modmath import Modulus, Residue, ResidueClass, reduce
+from modrsa.rsa import PublicKey
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 33]
 
@@ -259,3 +260,90 @@ def test_crt_decrypt_and_sign_equal_the_full_power(pair_values):
     expected = tuple(pow(v, pair.f, pair.n) for v in values)
     assert rsa.decrypt(msg, pair.private_key).values == expected
     assert rsa.sign(msg, pair.private_key).values == expected
+
+
+# --- table decoding of text streams -------------------------------------------
+
+# n = 2**31 - 1 is prime, so e = (n - 1)/2 maps a residue to its Legendre
+# symbol: every nonzero square to 1 ('A'), every non-square to n - 1
+_LEGENDRE_N = 2**31 - 1
+
+
+@st.composite
+def _decode_cases(draw):
+    """(transform, key, lines): a keygen pair under verify or decrypt, or a
+    non-injective public key, with a stream whose first line holds distinct
+    values that decode to letters (up to 60 under n = 2**31 - 1, more than
+    the table keeps) and whose later lines mostly repeat them."""
+    kind = draw(st.sampled_from(["verify", "decrypt", "legendre", "squares-221"]))
+    if kind in ("verify", "decrypt"):
+        pair, _ = draw(_crt_key_and_values())
+        n = pair.n
+        if kind == "verify":
+            transform, key, preimage = rsa.verify, pair.public_key, pair.f
+        else:
+            transform, key, preimage = rsa.decrypt, pair.private_key, pair.e
+        good = [pow(code, preimage, n) for code in range(1, 28)]
+    elif kind == "legendre":
+        n = _LEGENDRE_N
+        transform, key = rsa.verify, PublicKey(n, (n - 1) // 2)
+        good = [x * x % n for x in draw(st.lists(st.integers(1, n - 1), min_size=28, max_size=60))]
+    else:
+        n = 221
+        transform, key = rsa.verify, PublicKey(n, 2)
+        good = [v for v in range(n) if 1 <= v * v % n <= 27]
+    head = draw(st.permutations(good))[: draw(st.integers(0, len(good)))]
+    value = st.one_of(*[st.sampled_from(good)] * 7, st.integers(0, n - 1))
+    lines = draw(st.lists(st.lists(value, max_size=12), max_size=8))
+    return transform, key, [head] + lines
+
+
+def _lines_and_error(lines):
+    """The lines a decoder yields before it raises, and (type, str, witnesses) of the error."""
+    out = []
+    try:
+        for line in lines:
+            out.append(line)
+    except DomainError as err:
+        return out, (type(err), str(err), {name: getattr(err, name) for name in err.fields})
+    return out, None
+
+
+def _check_decode_stream(transform, key, lines):
+    def messages():
+        return (rsa.NumberMessage(values, key.n) for values in lines)
+
+    expected = _lines_and_error(rsa.decode_text(transform(msg, key)) for msg in messages())
+    assert _lines_and_error(rsa.decode_stream(messages(), transform, key)) == expected
+
+
+@given(_decode_cases())
+@settings(max_examples=200)
+def test_decode_stream_matches_decode_text(case):
+    _check_decode_stream(*case)
+
+
+_PAIR_221 = rsa.keygen(13, 17, 29)
+_LETTER_221 = [pow(code, _PAIR_221.f, 221) for code in range(1, 28)]  # signatures of A..Z, space
+_BAD_221 = pow(100, _PAIR_221.f, 221)  # verifies to 100, outside the alphabet
+
+
+@pytest.mark.parametrize(
+    "transform, key, lines",
+    [
+        # the bad value repeats within its line: the first position is reported
+        (rsa.verify, _PAIR_221.public_key, [_LETTER_221[:5], [_LETTER_221[0], _BAD_221, 3, _BAD_221]]),
+        # the bad value follows values already in the table, on a later line
+        (rsa.verify, _PAIR_221.public_key, [_LETTER_221, _LETTER_221[::-1], _LETTER_221[3:6] + [_BAD_221]]),
+        # 0 powers to 0 under CRT decryption with p = 2
+        (rsa.decrypt, rsa.keygen(2, 17, 3).private_key, [[1, 2, 3], [2, 0, 0, 1]]),
+        # a full table: the non-square 3 is bad after 40 squares decoded to 'A'
+        (rsa.verify, PublicKey(_LEGENDRE_N, (_LEGENDRE_N - 1) // 2),
+         [[x * x for x in range(1, 41)], [4, 9, 3, 3], [1]]),
+        # squares mod 221 whose power is a letter code, then one that is not
+        (rsa.verify, PublicKey(221, 2), [[1, 2, 3, 4, 5], [5, 4, 6, 0]]),
+    ],
+    ids=["repeated-bad", "bad-after-table", "crt-p2-zero", "legendre-overflow", "squares-221"],
+)
+def test_decode_stream_error_paths(transform, key, lines):
+    _check_decode_stream(transform, key, lines)

@@ -327,6 +327,29 @@ class TestCodec:
             assert decode_text(encode_text(text, 221)) == text
 
 
+class TestDecodeStream:
+    def test_table_stays_bounded_for_a_non_injective_key(self):
+        # every nonzero square mod the prime 2**31 - 1 powers to 1 ('A') under e = (n - 1)/2
+        n = 2**31 - 1
+        key = PublicKey(n, (n - 1) // 2)
+        lines = [[(40 * i + j) ** 2 % n for j in range(1, 41)] for i in range(50)]
+        stream = rsa.decode_stream((NumberMessage(values, n) for values in lines), verify, key)
+        for values in lines:
+            assert next(stream) == "A" * len(values)
+            assert len(stream.gi_frame.f_locals["table"]) <= len(rsa.ALPHABET)
+        assert next(stream, None) is None
+
+    def test_modulus_mismatch_even_when_no_value_is_powered(self):
+        key = keygen(13, 17, 29).public_key
+        for values in ((), (1, 1)):
+            with pytest.raises(ModulusMismatchError):
+                decode_text(verify(NumberMessage(values, 220), key))
+            stream = rsa.decode_stream([NumberMessage((1,), 221), NumberMessage(values, 220)], verify, key)
+            assert next(stream) == "A"
+            with pytest.raises(ModulusMismatchError):
+                next(stream)
+
+
 class TestEncryptDecrypt:
     def test_worked_example_numbers(self):
         # the worked example's own number string and its printed ciphertext
