@@ -5,14 +5,19 @@ The library splits into four parts:
 - modmath: residue arithmetic, Euclid and extended Euclid, fast powers,
   trial-division factoring with phi and square-free tests, critical
   exponents, CRT coordinates and their recombination
-- oracle: deliberately naive mirrors of the above, used as ground truth;
-  imported on first access to modrsa.oracle
+- oracle: deliberately naive mirrors of the above, used as ground truth
 - rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify,
   and decode_stream, which decodes a stream of texts through a letter table
 - cli / keyfile: command-line front end and the flat key file format
+
+modmath and the error types load with the package. rsa, keyfile, oracle
+and the key and message types (NumberMessage, PublicKey, PrivateKey,
+RsaKeyPair) are imported on first access (PEP 562), so a command that
+needs no RSA code does not load it; `from modrsa import PrivateKey` and
+`modrsa.rsa` work as usual.
 """
 
-from . import keyfile, modmath, rsa
+from . import modmath
 from .errors import (
     DomainError,
     EqualPrimesError,
@@ -38,17 +43,21 @@ from .modmath import (
     ResidueClass,
     TraceRow,
 )
-from .rsa import NumberMessage, PrivateKey, PublicKey, RsaKeyPair
 
 __version__ = "0.1.0"
 
+# served on first access (PEP 562), so a command that needs none of them skips their import
+_LAZY_MODULES = {"keyfile", "oracle", "rsa"}
+_RSA_NAMES = {"NumberMessage", "PublicKey", "PrivateKey", "RsaKeyPair"}
+
 
 def __getattr__(name):
-    # oracle is imported on first use (PEP 562), so commands without --check skip it
-    if name == "oracle":
-        import importlib
+    import importlib
 
-        return importlib.import_module(f"{__name__}.oracle")
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _RSA_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.rsa"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -1,21 +1,27 @@
 """Command-line front end: every library operation as a subcommand.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (not a unit, bad
-primes, malformed key file, and so on). Output is deterministic: single
-values print as bare decimals, vectors as comma-separated values with no
-spaces, tables row-major with a header row. Message vectors are taken
-from an argument or, when omitted, one per line on standard input; stdin
-is processed line by line, so lines before a bad one are answered.
+primes, malformed key file, and so on) or a closed standard output.
+Output is deterministic: single values print as bare decimals, vectors
+as comma-separated values with no spaces, tables row-major with a header
+row. Message vectors are taken from an argument or, when omitted, one
+per line on standard input; stdin is processed line by line, so lines
+before a bad one are answered.
+
+With --text, stdin is decoded by wire token: a transformed text is a
+substitution over at most 27 tokens, so each distinct token is parsed,
+checked and decoded once. rsa and keyfile are imported by the commands
+that use them, so the arithmetic commands do not load them.
 """
 
 import argparse
+import os
 import re
 import sys
 from itertools import chain, repeat
 
-from . import modmath, rsa
+from . import modmath
 from .errors import DomainError, KeyFileError
-from .keyfile import read_key_file, write_key_file
 
 PROG = "modrsa"
 
@@ -62,6 +68,18 @@ def _natural(text: str) -> int:
 def _vector(text: str) -> tuple[int, ...]:
     text = text.strip()
     return _numbers(text, _VECTOR, "number vector") if text else ()
+
+
+def read_key_file(path):
+    from .keyfile import read_key_file  # on first use, so arithmetic commands skip keyfile and rsa
+
+    return read_key_file(path)
+
+
+def write_key_file(path, key) -> None:
+    from .keyfile import write_key_file
+
+    write_key_file(path, key)
 
 
 def _print_vector(values, out) -> None:
@@ -137,6 +155,8 @@ def _cmd_table(args, stdin, out):
 
 def _cmd_phi(args, stdin, out):
     if args.semiprime:
+        from . import rsa
+
         if args.check:
             args.parser.error("--check and --semiprime cannot be combined")
         if len(args.values) != 2:
@@ -185,6 +205,8 @@ def _cmd_crt(args, stdin, out):
 # --- RSA commands -----------------------------------------------------------
 
 def _cmd_keygen(args, stdin, out):
+    from . import rsa
+
     pair = rsa.keygen(args.p, args.q, args.e)
     if args.pub:
         write_key_file(args.pub, pair.public_key)
@@ -194,12 +216,21 @@ def _cmd_keygen(args, stdin, out):
         print(f"{name} = {getattr(pair, name)}", file=out)
 
 
-def _load_key(path, want):
+def _load_key(path, kind):
+    from . import rsa
+
     key = read_key_file(path)
-    if not isinstance(key, want):
-        kind = "public" if want is rsa.PublicKey else "private"
-        raise KeyFileError(f"{path}: expected a {kind} key")
+    if not isinstance(key, getattr(rsa, kind)):
+        raise KeyFileError(f"{path}: expected a {'public' if kind == 'PublicKey' else 'private'} key")
     return key
+
+
+def _stdin_vector(lineno, line) -> tuple[int, ...]:
+    """The vector on stdin line lineno, or a DomainError naming the line."""
+    try:
+        return _vector(line)
+    except argparse.ArgumentTypeError as err:
+        raise DomainError(f"standard input line {lineno}: {err}") from None
 
 
 def _input_messages(args, stdin, n):
@@ -208,34 +239,67 @@ def _input_messages(args, stdin, n):
     Stdin is read line by line, so each result can be printed before the
     next line is parsed.
     """
+    from . import rsa
+
     if args.numbers is not None:
         yield rsa.NumberMessage(args.numbers, n)
     elif args.text is not None:
         yield rsa.encode_text(args.text, n)
     else:
         for lineno, line in enumerate(stdin, start=1):
-            try:
-                values = _vector(line)
-            except argparse.ArgumentTypeError as err:
-                raise DomainError(f"standard input line {lineno}: {err}") from None
-            yield rsa.NumberMessage(values, n)
+            yield rsa.NumberMessage(_stdin_vector(lineno, line), n)
+
+
+def _decode_stdin(stdin, transform, key):
+    """Yield the text of each stdin line, as decode_stream would.
+
+    The table maps a wire token, as spelled, to its letter, and a line of
+    known tokens is joined from it with no parse. Any other line takes the
+    full path (_stdin_vector, NumberMessage, the command's one
+    decode_stream), and only then do its tokens enter the table, at most
+    len(ALPHABET) of them: a malformed, out-of-range or unseen token always
+    takes the full path.
+    """
+    from . import rsa
+
+    table = {}  # wire token -> its letter
+    pending = []  # the next message for decode_stream, fed one at a time
+    decoded = rsa.decode_stream(iter(pending.pop, None), transform, key)
+    for lineno, line in enumerate(stdin, start=1):
+        tokens = line.strip().split(",")
+        try:
+            text = "".join(map(table.__getitem__, tokens))
+        except KeyError:
+            pending.append(rsa.NumberMessage(_stdin_vector(lineno, line), key.n))
+            text = next(decoded)
+            for token, letter in zip(tokens, text):
+                if len(table) == len(rsa.ALPHABET):
+                    break
+                table[token] = letter
+        yield text
 
 
 def _cmd_power(args, stdin, out):
     """encrypt, sign, decrypt and verify: raise each message to the key's exponent."""
+    from . import rsa
+
     if args.numbers is not None and args.text is not None:
         args.parser.error("give either TEXT or --numbers, not both")
     key = _load_key(args.key, args.key_type)
-    messages = _input_messages(args, stdin, key.n)
-    if args.decode:
-        for line in rsa.decode_stream(messages, args.transform, key):
-            print(line, file=out)
+    transform = getattr(rsa, args.transform)
+    if args.decode and args.numbers is None:
+        lines = _decode_stdin(stdin, transform, key)
+    elif args.decode:
+        lines = rsa.decode_stream(_input_messages(args, stdin, key.n), transform, key)
     else:
-        for msg in messages:
-            _print_vector(args.transform(msg, key), out)
+        lines = (",".join(map(str, transform(msg, key))) for msg in _input_messages(args, stdin, key.n))
+    for line in lines:
+        print(line, file=out)
 
 
 def _cmd_suggest_primes(args, stdin, out):
+    from . import rsa
+
     _print_vector(rsa.primes_in_range(args.lo, args.hi), out)
 
 
@@ -306,15 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", metavar="PATH", help="write the public key file here")
     p.add_argument("--priv", metavar="PATH", help="write the private key file here")
 
-    for name, transform, key_type, help in (
-        ("encrypt", rsa.encrypt, rsa.PublicKey, "raise message values to the public exponent"),
-        ("decrypt", rsa.decrypt, rsa.PrivateKey, "raise message values to the private exponent"),
-        ("sign", rsa.sign, rsa.PrivateKey, "raise message values to the private exponent"),
-        ("verify", rsa.verify, rsa.PublicKey, "raise signed values to the public exponent"),
+    # the transform and key type are named here and looked up in rsa at dispatch
+    for name, key_type, help in (
+        ("encrypt", "PublicKey", "raise message values to the public exponent"),
+        ("decrypt", "PrivateKey", "raise message values to the private exponent"),
+        ("sign", "PrivateKey", "raise message values to the private exponent"),
+        ("verify", "PublicKey", "raise signed values to the public exponent"),
     ):
         p = command(name, _cmd_power, help)
-        p.set_defaults(transform=transform, key_type=key_type)
-        p.add_argument("--key", metavar="PUBFILE" if key_type is rsa.PublicKey else "PRIVFILE", required=True)
+        p.set_defaults(transform=name, key_type=key_type)
+        p.add_argument("--key", metavar="PUBFILE" if key_type == "PublicKey" else "PRIVFILE", required=True)
         if name in ("encrypt", "sign"):
             # plain messages: letters to encode, or raw numbers
             p.set_defaults(decode=False)
@@ -350,11 +415,21 @@ def run(argv, *, stdin=None, stdout=None, stderr=None) -> int:
     except (DomainError, ValueError) as err:
         print(f"error: {err}", file=stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: stop quietly
+        return 2
     return 0
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs' SIGPIPE note does: send what is left to devnull,
+        # so the flush at exit has nowhere to fail and prints no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

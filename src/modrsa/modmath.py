@@ -7,9 +7,9 @@ that, and nothing needs arbitrary precision.
 
 Where the standard library runs the same algorithm it does the work:
 three-argument pow is square-and-multiply, pow(x, -1, n) and math.gcd are
-Euclid. extended_gcd keeps only the Euclid quotients and rebuilds the
-table from them when it is read. One trial-division factoriser,
-prime_factors, serves primality, square-freeness and phi.
+Euclid. extended_gcd takes its certificate from them too, and runs the
+paper's Euclid loop only when its table is read. One trial-division
+factoriser, prime_factors, serves primality, square-freeness and phi.
 
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
@@ -245,12 +245,13 @@ class TraceRow(tuple):
     b = property(itemgetter(3))
 
 
-def _euclid_rows(x: int, y: int, quotients) -> tuple[TraceRow, ...]:
-    """The table for x >= y >= 1 from its quotients: each row after the first
-    two is row[i-2] - quotient[i-1] * row[i-1], columnwise."""
+def _euclid_rows(x: int, y: int) -> tuple[TraceRow, ...]:
+    """The paper's table for x >= y >= 1: rows (x, -, 1, 0) and (y, q, 0, 1),
+    then each row is row[i-2] - quotient[i-1] * row[i-1], columnwise."""
     rows = [TraceRow(x, None, 1, 0)]
     (n0, a0, b0), (n1, a1, b1) = (x, 1, 0), (y, 0, 1)
-    for q in quotients:
+    while n1:
+        q = n0 // n1
         rows.append(TraceRow(n1, q, a1, b1))
         (n0, a0, b0), (n1, a1, b1) = (n1, a1, b1), (n0 - q * n1, a0 - q * a1, b0 - q * b1)
     rows.append(TraceRow(0, None, a1, b1))
@@ -262,33 +263,23 @@ class EuclidTrace(Value):
 
     Row one is (x, -, 1, 0), row two (y, q, 0, 1); each later row is
     row[i-2] - quotient[i-1] * row[i-1], columnwise. The n column strictly
-    decreases and ends at 0. extended_gcd hands over only the quotients;
-    the rows are built from them the first time they are read.
+    decreases and ends at 0. Built from (x, y) alone, as extended_gcd
+    does, the trace runs that loop the first time its rows are read.
     """
 
     _fields = ("x", "y", "rows")
-    __slots__ = ("x", "y", "_rows", "_quotients")
+    __slots__ = ("x", "y", "_rows")
 
-    def __init__(self, x, y, rows):
+    def __init__(self, x, y, rows=None):
         _set(self, "x", x)
         _set(self, "y", y)
         _set(self, "_rows", rows)
 
-    @classmethod
-    def _from_quotients(cls, x, y, quotients):
-        trace = cls.__new__(cls)
-        _set(trace, "x", x)
-        _set(trace, "y", y)
-        _set(trace, "_quotients", quotients)
-        return trace
-
     @property
     def rows(self) -> tuple[TraceRow, ...]:
-        try:
-            return self._rows
-        except AttributeError:
-            _set(self, "_rows", _euclid_rows(self.x, self.y, self._quotients))
-            return self._rows
+        if self._rows is None:
+            _set(self, "_rows", _euclid_rows(self.x, self.y))
+        return self._rows
 
 
 class BezoutCertificate(Value):
@@ -310,9 +301,12 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
     The table wants x >= y, so calling with x < y swaps the inputs
     internally and swaps the returned coefficients back: the certificate
     always satisfies a*x + b*y = g for the caller's (x, y), while the
-    trace shows the table that was actually computed. The loop keeps only
-    the quotients and the last two (n, a) pairs; b follows from
-    a*x + b*y = g, and the trace builds its rows on first use.
+    trace shows the table that was actually computed.
+
+    The table ends on the minimal Bezout pair, |a| <= y/(2g), which is
+    unique: a is the reciprocal of x/g mod y/g (builtin pow, itself
+    Euclid) taken in the symmetric range, 0 when y/g = 1, and b follows
+    from a*x + b*y = g. The trace runs the loop only when it is read.
     """
     if x < 1 or y < 1:
         raise UndefinedGcdError("extended gcd needs two integers >= 1")
@@ -320,15 +314,12 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
         cert, trace = extended_gcd(y, x)
         return BezoutCertificate(cert.g, cert.b, cert.a, x, y), trace
 
-    quotients = []
-    n0, a0, n1, a1 = x, 1, y, 0
-    while n1:
-        q = n0 // n1
-        quotients.append(q)
-        n0, a0, n1, a1 = n1, a1, n0 - q * n1, a0 - q * a1
-
-    cert = BezoutCertificate(n0, a0, (n0 - a0 * x) // y, x, y)
-    return cert, EuclidTrace._from_quotients(x, y, quotients)
+    g = math.gcd(x, y)
+    m = y // g
+    a = pow(x // g, -1, m)  # 0 when m = 1
+    if 2 * a > m:
+        a -= m
+    return BezoutCertificate(g, a, (g - a * x) // y, x, y), EuclidTrace(x, y)
 
 
 def inverse(x: Residue) -> Residue:

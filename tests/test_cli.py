@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import subprocess
@@ -9,8 +10,20 @@ import pytest
 
 import modrsa
 from cli_cases import GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
+from modrsa import cli
 from modrsa.keyfile import read_key_file
-from modrsa.rsa import ALPHABET, PrivateKey, PublicKey, encode_text, keygen, sign, verify
+from modrsa.rsa import (
+    ALPHABET,
+    NumberMessage,
+    PrivateKey,
+    PublicKey,
+    decode_text,
+    decrypt,
+    encode_text,
+    keygen,
+    sign,
+    verify,
+)
 
 
 @pytest.fixture(scope="module")
@@ -433,3 +446,144 @@ class TestBoundedWork:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith(f"error: {pub}:")
+
+
+class TestStdinTokenTable:
+    """`--text` stdin is decoded by wire token: each distinct token is parsed, checked and decoded once."""
+
+    def test_table_stays_bounded(self):
+        n = 2**31 - 1
+        rng = random.Random(2718)
+        pair = keygen(13, 17, 29)
+        spelled = [f"{'0' * k}{pow(code, pair.e, pair.n)}" for code in range(1, 28) for k in range(3)]
+        squares = [[str((40 * i + j) ** 2 % n) for j in range(1, 41)] for i in range(50)]
+        cases = [
+            # every nonzero square powers to 1 ('A'): 2000 distinct tokens that decode
+            (verify, PublicKey(n, (n - 1) // 2), squares),
+            # several square roots of each letter code mod 221
+            (verify, PublicKey(221, 2), [[str(v) for v in range(221) if 1 <= v * v % 221 <= 27]] * 3),
+            # 81 spellings (7, 07, 007, ...) of the 27 ciphertexts, under CRT decryption
+            (decrypt, pair.private_key, [rng.sample(spelled, 20) for _ in range(40)]),
+        ]
+        for transform, key, lines in cases:
+            stdin = io.StringIO("".join(",".join(tokens) + "\n" for tokens in lines))
+            stream = cli._decode_stdin(stdin, transform, key)
+            for tokens in lines:
+                message = NumberMessage(tuple(map(int, tokens)), key.n)
+                assert next(stream) == decode_text(transform(message, key))
+                assert len(stream.gi_frame.f_locals["table"]) <= len(ALPHABET)
+            assert next(stream, None) is None
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ["0" * 4300 + "{}", "{}, {}", "-{}", "{},", "+{}", " {} ,{}"],
+        ids=["past-digit-limit", "inner-blank", "negative", "trailing-comma", "plus-sign", "blank-before-comma"],
+    )
+    def test_a_known_token_spelled_wrong_takes_the_full_path(self, keys, spelling):
+        # 60 verifies to 'H' and is in the table after line 1; line 2 spells it wrong
+        line = spelling.format(60, 60)
+        code, out, err = run_cli(["verify", "--key", keys["pub221"], "--text"], stdin_text=f"60,60\n{line}\n")
+        assert (code, out) == (2, "HH\n")
+        if spelling == "-{}":
+            assert err == "error: message value -60 is not a residue mod 221\n"
+        else:
+            assert err == f"error: standard input line 2: invalid number vector: {line.strip()!r}\n"
+
+    def test_few_lines_are_parsed(self, keys, monkeypatch):
+        pair = keygen(13, 17, 29)
+        rng = random.Random(1500)
+        texts = ["".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 41))) for _ in range(1500)]
+        signed = "".join(
+            ",".join(str(v) for v in sign(encode_text(text, pair.n), pair.private_key)) + "\n" for text in texts
+        )
+        built = []
+        post_init = NumberMessage.__post_init__
+
+        def counting_post_init(msg):
+            built.append(msg)
+            post_init(msg)
+
+        monkeypatch.setattr(NumberMessage, "__post_init__", counting_post_init)
+        code, out, err = run_cli(["verify", "--key", keys["pub221"], "--text"], stdin_text=signed)
+        assert (code, out, err) == (0, "".join(text + "\n" for text in texts), "")
+        # a parsed line builds at most three messages (the line, its values new to
+        # decode_stream, their powers); a line joined from the table builds none
+        assert len(built) <= 3 * len(ALPHABET)
+        lines = {tuple(map(int, line.split(","))) for line in signed.splitlines()}
+        assert sum(msg.values in lines for msg in built) <= len(ALPHABET)
+
+
+class _ClosedAfterFirstLine(io.StringIO):
+    """A stdout whose reader goes away once the first line is written."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def _buffered_child_env():
+    """The environment for a `python -m modrsa` child whose stdout is block-buffered, as in a shell pipeline."""
+    src = str(Path(modrsa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _read_first_line_then_close(argv, stdin_path=os.devnull, timeout=60):
+    """Run `python -m modrsa` as a child, read one line of its stdout and close the pipe.
+
+    Returns (first line, exit code, stderr).
+    """
+    with open(stdin_path) as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modrsa", *argv],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_child_env(), text=True,
+        )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=timeout)
+    finally:
+        proc.kill()
+        proc.wait()
+    return first, proc.returncode, err
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command with exit 2, with nothing on stderr."""
+
+    def test_in_process_writer(self):
+        out, err = _ClosedAfterFirstLine(), io.StringIO()
+        assert cli.run(["table", "10"], stdout=out, stderr=err) == 2
+        assert out.getvalue() == "x 1 2 3 4 5 6 7 8 9\n"
+        assert err.getvalue() == ""
+
+    def test_table_into_a_closed_pipe(self):
+        first, code, err = _read_first_line_then_close(["table", "400"])
+        assert first.split()[:3] == ["x", "1", "2"]
+        assert (code, err) == (2, "")
+
+    def test_output_still_buffered_at_exit(self):
+        # the pipe has no reader from the start, so the small answer fails only at the final flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "modrsa", "reduce", "5", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=_buffered_child_env(), text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, "")
+
+    def test_text_stream_into_a_closed_pipe(self, keys, tmp_path):
+        # 3000 lines of 100 letters: far more output than a pipe holds
+        pair = keygen(13, 17, 29)
+        cipher = [str(pow(code, pair.e, pair.n)) for code in range(1, 28)]
+        rng = random.Random(32)
+        stdin = tmp_path / "cipher.txt"
+        stdin.write_text("".join(",".join(rng.choices(cipher, k=100)) + "\n" for _ in range(3000)))
+        first, code, err = _read_first_line_then_close(["decrypt", "--key", keys["priv221"], "--text"], stdin)
+        assert len(first) == 101
+        assert (code, err) == (2, "")

@@ -11,6 +11,7 @@ from modrsa.errors import (
     UndefinedGcdError,
 )
 from modrsa.modmath import (
+    EuclidTrace,
     Modulus,
     Residue,
     ResidueClass,
@@ -220,6 +221,20 @@ class TestExtendedGcd:
             assert all(ns[i] > ns[i + 1] for i in range(1, len(ns) - 1))
             for r in trace.rows:
                 assert r.a * x + r.b * y == r.n
+
+
+class TestBezoutCertificate:
+    def test_certificate_is_the_last_row_of_the_table(self):
+        # covers y | x, x = y and y = 1; the row before the terminal zero holds (g, a, b)
+        for x in range(1, 301):
+            for y in range(1, x + 1):
+                cert, trace = extended_gcd(x, y)
+                last = trace.rows[-2]
+                assert (cert.g, cert.a, cert.b) == (last.n, last.a, last.b), (x, y)
+
+    def test_trace_is_built_from_the_inputs_alone(self):
+        _, trace = extended_gcd(1466, 237)
+        assert trace == EuclidTrace(1466, 237) == EuclidTrace(1466, 237, trace.rows)
 
 
 class TestInverse:

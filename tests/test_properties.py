@@ -1,11 +1,14 @@
+import io
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modrsa import modmath, oracle, rsa
+from modrsa import cli, modmath, oracle, rsa
 from modrsa.errors import DomainError, NotAUnitError
+from modrsa.keyfile import write_key_file
 from modrsa.modmath import Modulus, Residue, ResidueClass, reduce
 from modrsa.rsa import PublicKey
 
@@ -347,3 +350,97 @@ _BAD_221 = pow(100, _PAIR_221.f, 221)  # verifies to 100, outside the alphabet
 )
 def test_decode_stream_error_paths(transform, key, lines):
     _check_decode_stream(transform, key, lines)
+
+
+# --- token decoding of stdin text streams -------------------------------------
+
+_VECTOR_SYNTAX = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+_JUNK = ["", " ", "x", "1_0", "+5", "5 ", " 5", "1 5", "٣", "9" * 4301, "1" + "0" * 4300, "0" * 4300 + "7"]
+
+
+def _per_line(transform, key, stdin_text):
+    """(exit code, stdout, stderr) of `--text` on stdin, each line parsed,
+    range-checked and decoded on its own, with no table of any kind."""
+    out = []
+    for lineno, line in enumerate(io.StringIO(stdin_text), start=1):
+        text = line.strip()
+        try:
+            if text and not _VECTOR_SYNTAX.fullmatch(text):
+                raise ValueError
+            values = tuple(map(int, text.split(","))) if text else ()
+        except ValueError:  # bad syntax, or past int()'s digit limit
+            return 2, "".join(out), f"error: standard input line {lineno}: invalid number vector: {text!r}\n"
+        try:
+            out.append(rsa.decode_text(transform(rsa.NumberMessage(values, key.n), key)) + "\n")
+        except DomainError as err:
+            return 2, "".join(out), f"error: {err}\n"
+    return 0, "".join(out), ""
+
+
+@st.composite
+def _stdin_keys(draw):
+    """(command, key, good, bad): verify under a keygen pair or a non-injective
+    public key, or CRT decrypt; good values decode to letters, bad ones do not."""
+    kind = draw(st.sampled_from(["verify", "decrypt", "legendre", "squares-221"]))
+    if kind in ("verify", "decrypt"):
+        p, q = draw(st.lists(st.sampled_from(_CRT_PRIMES), min_size=2, max_size=2, unique=True))
+        phi = (p - 1) * (q - 1)
+        pair = rsa.keygen(p, q, next(e for e in range(draw(st.integers(2, phi - 1)), phi) if math.gcd(e, phi) == 1))
+        key, preimage = (pair.public_key, pair.f) if kind == "verify" else (pair.private_key, pair.e)
+        good = [pow(code, preimage, pair.n) for code in range(1, 28)]
+        bad = [pow(code, preimage, pair.n) for code in (0, 28, 100, pair.n - 1)]
+        return kind, key, good, bad
+    if kind == "legendre":
+        n = _LEGENDRE_N
+        squares = draw(st.lists(st.integers(1, n - 1), min_size=28, max_size=60))
+        return "verify", PublicKey(n, (n - 1) // 2), [x * x % n for x in squares], [0, 3, n - 3]
+    good = [v for v in range(221) if 1 <= v * v % 221 <= 27]
+    return "verify", PublicKey(221, 2), good, [0, 6, 100]
+
+
+_LINE_FRAMES = [("", ",", "\n")] * 6 + [("", ",", "\r\n"), (" ", ",", "\n"), ("", ", ", "\n")]
+
+
+@st.composite
+def _stdin_text(draw, n, good, bad):
+    """Stdin for --text. Most lines hold only good values, spelled canonically
+    or zero-padded, so more than 27 distinct tokens decode; a mixed line also
+    holds bad values, values out of range, -0, junk or too many digits. A
+    line may have blanks around it or after its commas, and end in LF or CRLF."""
+    spellings = [pad + str(v) for pad in ("", "", "", "0", "00") for v in good]
+    others = [*map(str, bad), str(n), str(n + 1), str(2 * n), "-1", "-0", "00", f"-{good[0]}", *_JUNK,
+              f"{'0' * 4300}{good[0]}"]  # a letter value past int()'s digit limit
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        pool = spellings + others if draw(st.integers(0, 3)) == 0 else spellings
+        tokens = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))]
+        pad, sep, end = draw(st.sampled_from(_LINE_FRAMES))
+        lines.append(pad + sep.join(tokens) + pad + end)
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def key_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stream-keys")
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_stdin_text_stream_matches_the_per_line_path(key_dir, data):
+    command, key, good, bad = data.draw(_stdin_keys())
+    stdin_text = data.draw(_stdin_text(key.n, good, bad))
+    path = key_dir / "key.txt"
+    write_key_file(path, key)
+    transform = rsa.verify if command == "verify" else rsa.decrypt
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run([command, "--key", str(path), "--text"], stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    assert (code, out.getvalue(), err.getvalue()) == _per_line(transform, key, stdin_text)
+
+
+# --- the Bezout certificate ---------------------------------------------------
+
+@given(st.integers(1, modmath.MAX_MODULUS), st.integers(1, modmath.MAX_MODULUS))
+def test_bezout_certificate_is_the_last_row_of_the_table(x, y):
+    cert, trace = modmath.extended_gcd(x, y)
+    last = trace.rows[-2]  # the row before the terminal zero
+    assert (cert.g, cert.a, cert.b) == ((last.n, last.a, last.b) if x >= y else (last.n, last.b, last.a))

@@ -197,3 +197,37 @@ class TestImportBudget:
         assert modrsa.oracle.naive_pow(Residue(3, Modulus(7)), 2).value == 2
         with pytest.raises(AttributeError):
             modrsa.not_a_module  # noqa: B018
+
+
+# Runs a command through the CLI and reports the exit code and which of the
+# RSA modules got imported.
+_RSA_PROBE = """
+import io, sys
+import modrsa.cli
+code = modrsa.cli.run(sys.argv[1:], stdout=io.StringIO())
+print(code, *[m for m in ("modrsa.rsa", "modrsa.keyfile") if m in sys.modules])
+"""
+
+
+class TestLazyPackage:
+    """rsa, keyfile and the key and message types load on first use."""
+
+    def test_arithmetic_command_loads_no_rsa_code(self):
+        proc = _run(["-S", "-c", _RSA_PROBE, "reduce", "5", "3"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+
+    def test_encrypt_loads_rsa_and_keyfile(self, tmp_path):
+        from modrsa.keyfile import write_key_file
+
+        write_key_file(tmp_path / "pub.txt", PublicKey(221, 29))
+        proc = _run(["-S", "-c", _RSA_PROBE, "encrypt", "--key", str(tmp_path / "pub.txt"), "HELLO"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "modrsa.rsa", "modrsa.keyfile"]
+
+    def test_package_serves_the_lazy_names(self):
+        from modrsa import NumberMessage as message_type, RsaKeyPair as pair_type
+
+        assert (message_type, pair_type) == (NumberMessage, RsaKeyPair)
+        assert (modrsa.PublicKey, modrsa.PrivateKey) == (PublicKey, PrivateKey)
+        assert modrsa.rsa is rsa and modrsa.keyfile.read_key_file is not None
