@@ -7,7 +7,7 @@ The library splits into four parts:
   exponents, CRT coordinates and their recombination
 - oracle: deliberately naive mirrors of the above, used as ground truth
 - rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify,
-  and decode_stream, which decodes a stream of texts through a letter table
+  and decode_stream, which decodes transformed texts behind a memo of powers
 - cli / keyfile: command-line front end and the flat key file format
 
 modmath and the error types load with the package. rsa, keyfile, oracle

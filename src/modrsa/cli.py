@@ -1,7 +1,7 @@
 """Command-line front end: every library operation as a subcommand.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (not a unit, bad
-primes, malformed key file, and so on) or a closed standard output.
+primes, malformed key file, and so on) or an unwritable standard output.
 Output is deterministic: single values print as bare decimals, vectors
 as comma-separated values with no spaces, tables row-major with a header
 row. Message vectors are taken from an argument or, when omitted, one
@@ -97,8 +97,8 @@ def _print_columns(rows, out, width=0) -> None:
         print(" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
 
 
-def _check_line(ok: bool, oracle_value, out) -> None:
-    if ok:
+def _check_line(result, oracle_value, out) -> None:
+    if result == oracle_value:
         print("check: ok", file=out)
     else:
         print(f"check: mismatch (oracle says {oracle_value})", file=out)
@@ -141,9 +141,7 @@ def _cmd_inverse(args, stdin, out):
     if args.check:
         from . import oracle  # only --check needs the naive mirrors
 
-        brute = oracle.inverse_brute(x)
-        _check_line(brute is not None and brute.value == result.value,
-                    None if brute is None else brute.value, out)
+        _check_line(result.value, getattr(oracle.inverse_brute(x), "value", None), out)
 
 
 def _cmd_table(args, stdin, out):
@@ -172,8 +170,7 @@ def _cmd_phi(args, stdin, out):
     if args.check:
         from . import oracle  # only --check needs the naive mirrors
 
-        brute = oracle.phi_brute(n)
-        _check_line(brute == result, brute, out)
+        _check_line(result, oracle.phi_brute(n), out)
 
 
 def _cmd_powmod(args, stdin, out):
@@ -183,8 +180,7 @@ def _cmd_powmod(args, stdin, out):
     if args.check:
         from . import oracle  # only --check needs the naive mirrors
 
-        brute = oracle.naive_pow(x, args.e)
-        _check_line(brute.value == result.value, brute.value, out)
+        _check_line(result.value, oracle.naive_pow(x, args.e).value, out)
 
 
 def _cmd_critical(args, stdin, out):
@@ -415,20 +411,27 @@ def run(argv, *, stdin=None, stdout=None, stderr=None) -> int:
     except (DomainError, ValueError) as err:
         print(f"error: {err}", file=stderr)
         return 2
-    except BrokenPipeError:  # the reader closed stdout: stop quietly
-        return 2
+    except OSError as err:
+        return _output_failed(err, stderr)
     return 0
+
+
+def _output_failed(err, stderr) -> int:
+    """Exit code 2 for a stdout write that failed: quiet when the reader closed it."""
+    if not isinstance(err, BrokenPipeError):
+        print(f"error: cannot write standard output ({err.strerror})", file=stderr)
+    return 2
 
 
 def main() -> None:
     code = run(sys.argv[1:])
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as err:
         # as the Python docs' SIGPIPE note does: send what is left to devnull,
         # so the flush at exit has nowhere to fail and prints no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 2
+        code = _output_failed(err, sys.stderr)
     raise SystemExit(code)
 
 

@@ -14,13 +14,15 @@ factoriser, prime_factors, serves primality, square-freeness and phi.
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
 The value types are plain __slots__ classes on one small base, Value,
-rather than dataclasses, so importing the package stays cheap.
+rather than dataclasses, so importing the package stays cheap; a trace
+row is a namedtuple.
 """
 
 import enum
 import itertools
 import math
-from operator import attrgetter, itemgetter
+from collections import namedtuple
+from operator import attrgetter
 
 from .errors import (
     InvalidModulusError,
@@ -220,29 +222,13 @@ def gcd(x: int, y: int) -> int:
     return math.gcd(x, y)
 
 
-class TraceRow(tuple):
-    """One row (n, quotient, a, b) of the tabular extended-Euclid computation.
+TraceRow = namedtuple("TraceRow", ("n", "quotient", "a", "b"))
+TraceRow.__doc__ = """One row (n, quotient, a, b) of the tabular extended-Euclid computation.
 
-    Every row satisfies a*x + b*y = n for the trace inputs (x, y). The
-    quotient is the whole part of the division producing the next row; it
-    is absent on the first row and on the terminal zero row.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n, quotient, a, b):
-        return tuple.__new__(cls, (n, quotient, a, b))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return "TraceRow(n={!r}, quotient={!r}, a={!r}, b={!r})".format(*self)
-
-    n = property(itemgetter(0))
-    quotient = property(itemgetter(1))
-    a = property(itemgetter(2))
-    b = property(itemgetter(3))
+Every row satisfies a*x + b*y = n for the trace inputs (x, y). The
+quotient is the whole part of the division producing the next row; it
+is absent on the first row and on the terminal zero row.
+"""
 
 
 def _euclid_rows(x: int, y: int) -> tuple[TraceRow, ...]:

@@ -8,8 +8,8 @@ blocking. Every message transform is builtin pow applied to each value;
 decrypt and sign, given a private key that carries both primes, take
 each power as two half-size powers recombined by CRT. One letter per
 residue makes a transformed text a substitution cipher over 27 codes,
-so decode_stream decodes a stream of them through a table of at most 27
-values, powering each distinct value once.
+so decode_stream, which is decode_text of each transformed message,
+keeps a memo of at most 27 powers and powers each distinct value once.
 Nothing here is secure in any modern sense (no padding, no hashing,
 desk-scale primes); the point is to make the number theory visible, not
 to protect data.
@@ -261,9 +261,9 @@ def encode_text(text: str, n: int) -> NumberMessage:
 def decode_text(msg: NumberMessage) -> str:
     """Exact inverse of encode_text; every value must be a letter code 1..27.
 
-    The first value outside 1..27 is reported with its position. To decode
-    a stream of transformed messages, decode_stream gives the same lines
-    and powers each distinct value once.
+    The first value outside 1..27 is reported with its position.
+    decode_stream applies it to a stream of transformed messages, powering
+    each distinct value once.
     """
     chars = []
     for pos, v in enumerate(msg.values):
@@ -277,35 +277,24 @@ def decode_stream(messages, transform, key):
     """Yield decode_text(transform(msg, key)) for each message, in order.
 
     One letter per residue makes a transformed text a substitution cipher
-    over the 27 letter codes, so a stream repeats few values. The values a
-    message holds that the table does not go once through transform, as one
-    NumberMessage, and the line is joined from the table. The table keeps a
-    value only when its power is a letter code, and at most len(ALPHABET)
-    values: every valid value when the key's map is one-to-one. A key whose
-    map is not (a public key from a file need not be) has its further
-    values powered again on each line that holds them. A line holding a
-    value whose power is outside 1..27 raises ValueOutOfAlphabetError for
-    the first such position, as decode_text does.
+    over the 27 letter codes, so a stream repeats few values. The memo maps
+    a value to its power; the values a message holds that the memo lacks go
+    once through transform, as one NumberMessage, and the line is
+    decode_text of the powers. The memo keeps a power only when it is a
+    letter code, and at most len(ALPHABET) of them: every valid value when
+    the key's map is one-to-one. A key whose map is not (a public key from
+    a file need not be) has its further values powered again on each line
+    that holds them. Errors are those of transform and decode_text.
     """
-    table = {}  # value -> the letter its power codes
+    table = {}  # value -> its power, a letter code
     for msg in messages:
-        if msg.n != key.n:
-            raise ModulusMismatchError(msg.n, key.n)
         missing = set(msg.values).difference(table)
-        extra, bad = {}, {}  # this line's values the table does not keep
-        if missing:
-            for v, code in zip(missing, transform(NumberMessage(missing, key.n), key)):
-                if not 1 <= code <= len(ALPHABET):
-                    bad[v] = code
-                elif len(table) < len(ALPHABET):
-                    table[v] = ALPHABET[code - 1]
-                else:
-                    extra[v] = ALPHABET[code - 1]
-        if bad:
-            pos = next(pos for pos, v in enumerate(msg.values) if v in bad)
-            raise ValueOutOfAlphabetError(bad[msg.values[pos]], pos)
-        line = {**table, **extra} if extra else table
-        yield "".join(map(line.__getitem__, msg.values))
+        powers = dict(zip(missing, transform(NumberMessage(missing, msg.n), key)))
+        for v, code in powers.items():
+            if 1 <= code <= len(ALPHABET) and len(table) < len(ALPHABET):
+                table[v] = code
+        powers.update(table)
+        yield decode_text(NumberMessage(map(powers.__getitem__, msg.values), msg.n))
 
 
 def _pow_message(msg: NumberMessage, exponent: int, n: int) -> NumberMessage:

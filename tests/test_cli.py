@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import random
@@ -12,6 +13,7 @@ import modrsa
 from cli_cases import GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
 from modrsa import cli
 from modrsa.keyfile import read_key_file
+from modrsa.modmath import Residue
 from modrsa.rsa import (
     ALPHABET,
     NumberMessage,
@@ -587,3 +589,72 @@ class TestClosedStdout:
         first, code, err = _read_first_line_then_close(["decrypt", "--key", keys["priv221"], "--text"], stdin)
         assert len(first) == 101
         assert (code, err) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+class TestFullStdout:
+    """A stdout that fails for another reason than a closed pipe ends with exit 2 and one error line."""
+
+    @pytest.mark.parametrize("argv", [["reduce", "5", "3"], ["table", "300"]], ids=["reduce", "table"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device(self, argv, unbuffered):
+        env = _buffered_child_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "modrsa", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        # the whole of stderr, so no traceback and no "Exception ignored" either
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write standard output ({os.strerror(errno.ENOSPC)})\n")
+
+
+class TestOracleMismatch:
+    """A --check whose oracle disagrees prints the answer and the mismatch, then exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv, name, wrong, answer, said",
+        [
+            (["powmod", "--check", "48", "29", "221"], "naive_pow", lambda x, e: Residue(0, x.modulus), "107", "0"),
+            (["inverse", "--check", "237", "1466"], "inverse_brute", lambda x: Residue(1, x.modulus), "433", "1"),
+            (["inverse", "--check", "237", "1466"], "inverse_brute", lambda x: None, "433", "None"),
+            (["phi", "--check", "22"], "phi_brute", lambda n: 11, "10", "11"),
+        ],
+        ids=["powmod", "inverse", "inverse-none", "phi"],
+    )
+    def test_mismatch(self, argv, name, wrong, answer, said, monkeypatch):
+        from modrsa import oracle
+
+        monkeypatch.setattr(oracle, name, wrong)
+        assert run_cli(argv) == (
+            2,
+            f"{answer}\ncheck: mismatch (oracle says {said})\n",
+            f"error: oracle disagreement: expected {said}\n",
+        )
+
+
+class TestKeyFileExponents:
+    """Key files without factors decrypt by the plain power; exponents of 1 are refused."""
+
+    def test_private_key_of_n_and_f_alone(self, tmp_path):
+        priv = tmp_path / "priv.txt"
+        priv.write_text("kind = private\nn = 221\nf = 53\n")
+        assert run_cli(["decrypt", "--key", str(priv), "--text", "60,122,116,116,19"]) == (0, "HELLO\n", "")
+        stdin = "60,122,116,116,19\n19,116,116,122,60\n\n60\n"
+        assert run_cli(["decrypt", "--key", str(priv), "--text"], stdin) == (0, "HELLO\nOLLEH\n\nH\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, content, what",
+        [
+            (["encrypt", "--numbers", "1,2"], "kind = public\nn = 221\ne = 1\n", "public"),
+            (["decrypt", "1,2"], "kind = private\nn = 221\nf = 1\n", "private"),
+        ],
+        ids=["public", "private"],
+    )
+    def test_exponent_one_is_refused(self, tmp_path, argv, content, what):
+        path = tmp_path / "key.txt"
+        path.write_text(content)
+        assert run_cli([*argv, "--key", str(path)]) == (
+            2, "", f"error: {path}: invalid key values ({what} exponent must be > 1, got 1)\n"
+        )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from modrsa import modmath, oracle, rsa
@@ -17,6 +19,7 @@ from modrsa.rsa import (
     NumberMessage,
     PrivateKey,
     PublicKey,
+    RsaKeyPair,
     decode_text,
     decrypt,
     encode_text,
@@ -444,3 +447,37 @@ def test_private_exponent_recoverable_from_public_data():
     found = [f for f in range(1, 10) if e * f % phi == 1]
     assert found == [3]
     assert found[0] == PAIR_22.f
+
+
+class TestFactorlessPrivateKeys:
+    """A private key without both factors raises each value to f with builtin pow."""
+
+    @pytest.mark.parametrize("pair", [PAIR_221, keygen(46337, 46327, 65537)], ids=["n=221", "n=46337*46327"])
+    @pytest.mark.parametrize("fields", [(), ("q",), ("phi",)], ids=["n-f", "n-f-q", "n-f-phi"])
+    def test_plain_power(self, pair, fields):
+        key = PrivateKey(pair.n, pair.f, **{name: getattr(pair, name) for name in fields})
+        values = (0, pair.n - 1, *random.Random(pair.n).sample(range(pair.n), 50))
+        msg = NumberMessage(values, pair.n)
+        want = NumberMessage([pow(v, pair.f, pair.n) for v in values], pair.n)
+        assert decrypt(msg, key) == want
+        assert sign(msg, key) == want
+        assert decrypt(msg, pair.private_key) == want
+
+
+class TestExponentRules:
+    """The exponent checks of the key types, with their exact texts."""
+
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (lambda: PublicKey(221, 1), "public exponent must be > 1, got 1"),
+            (lambda: PrivateKey(221, 1), "private exponent must be > 1, got 1"),
+            (lambda: RsaKeyPair(p=13, q=17, n=221, phi=192, e=29, f=5), "e*f = 145 is not 1 mod phi = 192"),
+            (lambda: RsaKeyPair(p=13, q=17, n=221, phi=192, e=1, f=53), "exponents must lie strictly between 1 and phi"),
+        ],
+        ids=["public", "private", "pair-product", "pair-range"],
+    )
+    def test_text(self, make, text):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == text
