@@ -11,10 +11,14 @@ before a bad one are answered.
 With --text, stdin is decoded by wire token: a transformed text is a
 substitution over at most 27 tokens, so each distinct token is parsed,
 checked and decoded once. rsa and keyfile are imported by the commands
-that use them, so the arithmetic commands do not load them.
+that use them, so the arithmetic commands do not load them. The streaming
+printers write each line in one call, so an unbuffered stdout makes one
+write per line. main() freezes the heap before the process exits, so the
+interpreter does not collect what the operating system is about to reclaim.
 """
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -94,7 +98,7 @@ def _print_columns(rows, out, width=0) -> None:
     """
     widths = repeat(width) if width else [max(map(len, column)) for column in zip(*rows)]
     for row in rows:
-        print(" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
+        out.write(" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
 
 def _check_line(result, oracle_value, out) -> None:
@@ -290,7 +294,7 @@ def _cmd_power(args, stdin, out):
     else:
         lines = (",".join(map(str, transform(msg, key))) for msg in _input_messages(args, stdin, key.n))
     for line in lines:
-        print(line, file=out)
+        out.write(line + "\n")
 
 
 def _cmd_suggest_primes(args, stdin, out):
@@ -432,6 +436,7 @@ def main() -> None:
         # so the flush at exit has nowhere to fail and prints no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = _output_failed(err, sys.stderr)
+    gc.freeze()  # the process is ending and the OS reclaims its memory, so exit need not collect it
     raise SystemExit(code)
 
 

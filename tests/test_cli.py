@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import os
 import random
@@ -658,3 +659,79 @@ class TestKeyFileExponents:
         assert run_cli([*argv, "--key", str(path)]) == (
             2, "", f"error: {path}: invalid key values ({what} exponent must be > 1, got 1)\n"
         )
+
+
+class TestExitWithoutCollection:
+    """main() freezes the heap just before the process exits; run() leaves it to its caller."""
+
+    def test_main_freezes_the_heap(self):
+        # the atexit hook runs after main() has raised SystemExit, before finalization
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv = ['modrsa', 'reduce', '5', '3']\n"
+            "runpy.run_module('modrsa', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_buffered_child_env(), timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "2\n"), proc.stderr
+        assert int(proc.stderr) > 0
+
+    def test_run_leaves_the_heap_unfrozen(self):
+        assert gc.get_freeze_count() == 0
+        assert cli.run(["reduce", "5", "3"], stdout=io.StringIO()) == 0
+        assert gc.get_freeze_count() == 0
+
+
+class _RecordingWriter(io.StringIO):
+    """A stdout that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+def _signed_lines(texts):
+    """Lines of the texts signed under the 221 key, as `verify --key pub221 --text` reads them."""
+    pair = keygen(13, 17, 29)
+    return "".join(",".join(map(str, sign(encode_text(text, pair.n), pair.private_key))) + "\n" for text in texts)
+
+
+class TestOneWritePerLine:
+    """Streamed lines go out in one write each, so an unbuffered stdout makes one system call per line."""
+
+    def test_text_stream(self, keys):
+        texts = ["HELLO", "WORLD", "A B"]
+        out = _RecordingWriter()
+        code = cli.run(["verify", "--key", keys["pub221"], "--text"], stdin=io.StringIO(_signed_lines(texts)), stdout=out)
+        assert code == 0
+        assert out.calls == [text + "\n" for text in texts]
+
+    def test_table(self):
+        out = _RecordingWriter()
+        assert cli.run(["table", "5"], stdout=out) == 0
+        assert out.calls == (GOLDEN_DIR / "table-5.out").read_text().splitlines(keepends=True)
+
+    def test_unbuffered_and_buffered_children_agree(self, keys, tmp_path):
+        rng = random.Random(1500)
+        texts = ["".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 41))) for _ in range(1500)]
+        stdin = tmp_path / "signed.txt"
+        stdin.write_text(_signed_lines(texts))
+        outputs = []
+        for unbuffered in (True, False):
+            env = _buffered_child_env()
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            with open(stdin) as lines:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "modrsa", "verify", "--key", keys["pub221"], "--text"],
+                    stdin=lines, capture_output=True, env=env, timeout=60,
+                )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == "".join(text + "\n" for text in texts).encode()
