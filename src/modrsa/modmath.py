@@ -13,16 +13,17 @@ factoriser, prime_factors, serves primality, square-freeness and phi.
 
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
-The value types are plain __slots__ classes on one small base, Value,
-rather than dataclasses, so importing the package stays cheap; a trace
-row is a namedtuple.
+The value types are tuples of their fields on one small base, Value, which
+generates their constructors as namedtuple does, rather than dataclasses,
+so importing the package stays cheap; a trace row is a namedtuple.
 """
 
 import enum
 import itertools
 import math
 from collections import namedtuple
-from operator import attrgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 
 from .errors import (
     InvalidModulusError,
@@ -34,34 +35,61 @@ from .errors import (
 
 MAX_MODULUS = 2**31 - 1
 
-_set = object.__setattr__
+_new = tuple.__new__  # a value from its fields, unvalidated: for fields right by construction
 
 
-class Value:
-    """Base of the immutable value types: equality, hash and repr over _fields.
+def _unsupported(self, other):
+    raise TypeError(f"{type(self).__qualname__} values are not ordered, added or repeated")
 
-    Each subclass lists its fields in _fields and its slots in __slots__,
-    and has a plain __init__ that stores the fields with _set; a class that
-    validates ends it with self.__post_init__(), looked up on the class.
-    Two values are equal when they have the same class and equal fields.
-    Assignment and deletion raise AttributeError; pickle and copy rebuild a
-    value through its __init__, so the rebuilt value is validated too.
+
+class Value(tuple):
+    """Base of the immutable value types: a tuple of the fields in _fields.
+
+    As namedtuple does, each subclass gets a property per field it does not
+    define itself and a __new__ taking the fields, by position or keyword,
+    with _defaults for the last ones; __new__ ends with self.__post_init__(),
+    looked up on the class, where a class validates. Values are equal only
+    to their own class, over the field attributes, as are hash and repr;
+    they are not ordered, added or repeated. Assignment and deletion raise
+    AttributeError; pickle and copy rebuild through the constructor. A class
+    with a functools.cached_property declares no __slots__, so that it has a
+    __dict__ to keep the computed value in.
     """
 
     __slots__ = ()
     _fields = ()
+    _defaults = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._key = attrgetter(*cls._fields)  # what equality and hashing compare
+        for i, name in enumerate(cls._fields):
+            if name not in vars(cls):
+                setattr(cls, name, property(itemgetter(i)))
+        if "__new__" not in vars(cls):
+            args = ", ".join(cls._fields)
+            namespace = {"_new": _new}
+            exec(f"def __new__(cls, {args}):\n"
+                 f"    self = _new(cls, ({args},))\n"
+                 f"    self.__post_init__()\n"
+                 f"    return self", namespace)
+            new = namespace["__new__"]
+            new.__defaults__, new.__qualname__ = cls._defaults, f"{cls.__qualname__}.__new__"
+            cls.__new__ = staticmethod(new)
+
+    def __post_init__(self):
+        pass
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
+        return other.__class__ is self.__class__ and self._key(self) == self._key(other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
         return hash(self._key(self))
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _unsupported
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -87,17 +115,11 @@ def check_modulus(n) -> int:
 class Modulus(Value):
     """Clock size n >= 2; all arithmetic wraps modulo n."""
 
-    __slots__ = _fields = ("n",)
-
-    def __init__(self, n):
-        _set(self, "n", n)
-        self.__post_init__()
+    __slots__ = ()
+    _fields = ("n",)
 
     def __post_init__(self):
         check_modulus(self.n)
-
-    def __str__(self):
-        return str(self.n)
 
 
 def _as_modulus(n) -> Modulus:
@@ -108,20 +130,19 @@ class Residue(Value):
     """Canonical representative of an integer class modulo a fixed n.
 
     The constructor insists on canonical form; use reduce() to wrap an
-    arbitrary, possibly negative, integer. Operators accept another
-    Residue with the same modulus, or a plain int which is reduced first.
+    arbitrary, possibly negative, integer. Operators take another Residue
+    with the same modulus on the right, or a plain int there, which is
+    reduced first; a plain int on the left is not accepted.
     """
 
-    __slots__ = _fields = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        _set(self, "value", value)
-        _set(self, "modulus", modulus)
-        self.__post_init__()
+    __slots__ = ()
+    _fields = ("value", "modulus")
 
     def __post_init__(self):
         if isinstance(self.value, bool) or not isinstance(self.value, int):
             raise TypeError(f"residue value must be an int, got {self.value!r}")
+        if not isinstance(self.modulus, Modulus):
+            raise TypeError(f"residue modulus must be a Modulus, got {self.modulus!r}")
         if not 0 <= self.value < self.modulus.n:
             raise ValueError(f"{self.value} is not a canonical residue mod {self.modulus.n}")
 
@@ -133,20 +154,11 @@ class Residue(Value):
     def __add__(self, other):
         return add(self, self._coerce(other))
 
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
     def __sub__(self, other):
         return sub(self, self._coerce(other))
 
-    def __rsub__(self, other):
-        return sub(self._coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return mul(self._coerce(other), self)
 
     def __truediv__(self, other):
         return divide(self, self._coerce(other))
@@ -254,31 +266,18 @@ class EuclidTrace(Value):
     """
 
     _fields = ("x", "y", "rows")
-    __slots__ = ("x", "y", "_rows")
+    _defaults = (None,)
 
-    def __init__(self, x, y, rows=None):
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "_rows", rows)
-
-    @property
+    @cached_property
     def rows(self) -> tuple[TraceRow, ...]:
-        if self._rows is None:
-            _set(self, "_rows", _euclid_rows(self.x, self.y))
-        return self._rows
+        return _euclid_rows(self.x, self.y) if self[2] is None else self[2]
 
 
 class BezoutCertificate(Value):
     """Witness that a*x + b*y = g, where g is the gcd of x and y."""
 
-    __slots__ = _fields = ("g", "a", "b", "x", "y")
-
-    def __init__(self, g, a, b, x, y):
-        _set(self, "g", g)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "x", x)
-        _set(self, "y", y)
+    __slots__ = ()
+    _fields = ("g", "a", "b", "x", "y")
 
 
 def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
@@ -298,14 +297,14 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
         raise UndefinedGcdError("extended gcd needs two integers >= 1")
     if x < y:
         cert, trace = extended_gcd(y, x)
-        return BezoutCertificate(cert.g, cert.b, cert.a, x, y), trace
+        return _new(BezoutCertificate, (cert.g, cert.b, cert.a, x, y)), trace
 
     g = math.gcd(x, y)
     m = y // g
     a = pow(x // g, -1, m)  # 0 when m = 1
     if 2 * a > m:
         a -= m
-    return BezoutCertificate(g, a, (g - a * x) // y, x, y), EuclidTrace(x, y)
+    return _new(BezoutCertificate, (g, a, (g - a * x) // y, x, y)), _new(EuclidTrace, (x, y, None))
 
 
 def inverse(x: Residue) -> Residue:

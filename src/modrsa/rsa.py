@@ -18,6 +18,7 @@ to protect data.
 import bisect
 import itertools
 import math
+from functools import cached_property
 
 from . import modmath
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     UnsupportedCharacterError,
     ValueOutOfAlphabetError,
 )
-from .modmath import Value as _Value, _set
+from .modmath import Value as _Value
 
 # A = 1, B = 2, ..., Z = 26, space = 27.
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
@@ -99,18 +100,23 @@ def phi_semiprime(p: int, q: int) -> int:
     return (p - 1) * (q - 1)
 
 
+def _check_ints(key, names) -> None:
+    # an exponent or factor that is not an int is a programming mistake, not bad input
+    for name in names:
+        value = getattr(key, name)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 class PublicKey(_Value):
     """The shared half of a key pair: modulus n and public exponent e."""
 
-    __slots__ = _fields = ("n", "e")
-
-    def __init__(self, n, e):
-        _set(self, "n", n)
-        _set(self, "e", e)
-        self.__post_init__()
+    __slots__ = ()
+    _fields = ("n", "e")
 
     def __post_init__(self):
         modmath.check_modulus(self.n)
+        _check_ints(self, ("e",))
         if self.e <= 1:
             raise ValueError(f"public exponent must be > 1, got {self.e}")
 
@@ -122,22 +128,15 @@ class PrivateKey(_Value):
     those travel in private key files. Whichever of them are present must
     agree with n, f and each other, and p and q together must be distinct
     primes whose phi = (p-1)(q-1) has f as a unit. A key with both factors
-    keeps its CRT exponents, computed once here, and decrypts with them.
+    keeps its CRT exponents, computed on first use, and decrypts with them.
     """
 
     _fields = ("n", "f", "p", "q", "phi")
-    __slots__ = _fields + ("_crt",)
-
-    def __init__(self, n, f, p=None, q=None, phi=None):
-        _set(self, "n", n)
-        _set(self, "f", f)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "phi", phi)
-        self.__post_init__()
+    _defaults = (None, None, None)
 
     def __post_init__(self):
         modmath.check_modulus(self.n)
+        _check_ints(self, ("f", "p", "q", "phi"))
         if self.f <= 1:
             raise ValueError(f"private exponent must be > 1, got {self.f}")
         p, q, phi = self.p, self.q, self.phi
@@ -153,12 +152,16 @@ class PrivateKey(_Value):
             phi = (p - 1) * (q - 1)  # the factors imply phi, written or not
         if phi is not None and math.gcd(self.f, phi) != 1:
             raise ValueError(f"private exponent {self.f} is not a unit mod phi = {phi}")
-        crt = None
         if both:
             _check_prime_pair(p, q)
-            # f mod (p-1), shifted into [1, p-1] so that 0 still powers to 0 (p = 2 gives f mod 1 = 0)
-            crt = (p, (self.f - 1) % (p - 1) + 1, q, (self.f - 1) % (q - 1) + 1, pow(q, -1, p))
-        _set(self, "_crt", crt)  # (p, d_p, q, d_q, q**-1 mod p), not a field
+
+    @cached_property
+    def _crt(self):  # (p, d_p, q, d_q, q**-1 mod p) with both factors, else None; not a field
+        p, q, f = self.p, self.q, self.f
+        if p is None or q is None:
+            return None
+        # f mod (p-1), shifted into [1, p-1] so that 0 still powers to 0 (p = 2 gives f mod 1 = 0)
+        return (p, (f - 1) % (p - 1) + 1, q, (f - 1) % (q - 1) + 1, pow(q, -1, p))
 
 
 class RsaKeyPair(_Value):
@@ -169,20 +172,12 @@ class RsaKeyPair(_Value):
     """
 
     _fields = ("p", "q", "n", "phi", "e", "f")
-    __slots__ = _fields + ("_private_key",)
-
-    def __init__(self, p, q, n, phi, e, f):
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "n", n)
-        _set(self, "phi", phi)
-        _set(self, "e", e)
-        _set(self, "f", f)
-        self.__post_init__()
 
     def __post_init__(self):
-        # distinct primes, n = p*q, phi = (p-1)(q-1), gcd(f, phi) = 1
-        _set(self, "_private_key", PrivateKey(self.n, self.f, self.p, self.q, self.phi))
+        # the private key, built here and kept, checks distinct primes,
+        # n = p*q, phi = (p-1)(q-1) and gcd(f, phi) = 1
+        self.private_key  # noqa: B018
+        _check_ints(self, ("e",))
         if not 1 < self.e < self.phi or not 1 < self.f < self.phi:
             raise ValueError("exponents must lie strictly between 1 and phi")
         if self.e * self.f % self.phi != 1:
@@ -192,32 +187,36 @@ class RsaKeyPair(_Value):
     def public_key(self) -> PublicKey:
         return PublicKey(self.n, self.e)
 
-    @property
+    @cached_property
     def private_key(self) -> PrivateKey:
-        return self._private_key
+        return PrivateKey(self.n, self.f, self.p, self.q, self.phi)
 
 
 class NumberMessage(_Value):
     """A sequence of residues modulo n; the wire form of every message."""
 
-    __slots__ = _fields = ("values", "n")
+    __slots__ = ()
+    _fields = ("values", "n")
 
-    def __init__(self, values, n):
-        _set(self, "values", tuple(values))
-        _set(self, "n", n)
+    def __new__(cls, values, n):
+        self = tuple.__new__(cls, (tuple(values), n))
         self.__post_init__()
+        return self
 
     def __post_init__(self):
-        modmath.check_modulus(self.n)
+        n = modmath.check_modulus(self.n)
         for v in self.values:
-            if not 0 <= v < self.n:
-                raise MessageRangeError(v, self.n)
+            if not 0 <= v < n:
+                raise MessageRangeError(v, n)
 
     def __iter__(self):
         return iter(self.values)
 
     def __len__(self):
         return len(self.values)
+
+    def __contains__(self, value):
+        return value in self.values
 
 
 def keygen(p: int, q: int, e: int) -> RsaKeyPair:

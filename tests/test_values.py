@@ -231,3 +231,86 @@ class TestLazyPackage:
         assert (message_type, pair_type) == (NumberMessage, RsaKeyPair)
         assert (modrsa.PublicKey, modrsa.PrivateKey) == (PublicKey, PrivateKey)
         assert modrsa.rsa is rsa and modrsa.keyfile.read_key_file is not None
+
+
+_R, _R2 = Residue(5, Modulus(221)), Residue(6, Modulus(221))
+
+
+class TestTupleBase:
+    """The value types are tuples of their fields, and no tuple behaviour shows through."""
+
+    def test_a_value_is_not_equal_to_the_tuple_of_its_fields(self):
+        cert = BezoutCertificate(1, -70, 433, 1466, 237)
+        assert Modulus(221) != (221,) and (221,) != Modulus(221)
+        assert not Modulus(221) == (221,)
+        assert cert != (1, -70, 433, 1466, 237) and not cert == (1, -70, 433, 1466, 237)
+
+    def test_equal_fields_of_another_class_are_not_equal(self):
+        assert PublicKey(221, 29) != PrivateKey(221, 29)
+        assert not PublicKey(221, 29) == PrivateKey(221, 29)
+
+    @pytest.mark.parametrize("operation", [
+        lambda: 3 * _R,
+        lambda: 3 + _R,
+        lambda: _R < _R2,
+        lambda: sorted([_R, _R2]),
+        lambda: Modulus(5) * 2,
+        lambda: (1,) + Modulus(5),
+    ], ids=["int-times", "int-plus", "less-than", "sorted", "modulus-times", "tuple-plus"])
+    def test_no_tuple_order_concatenation_or_repetition(self, operation):
+        with pytest.raises(TypeError):
+            operation()
+
+    def test_message_membership_length_and_iteration_are_over_its_values(self):
+        msg = NumberMessage((48, 107, 48), 221)
+        assert 48 in NumberMessage((48,), 221) and 221 not in NumberMessage((48,), 221)
+        assert list(msg) == [48, 107, 48] and len(msg) == 3
+
+    def test_unread_trace_equals_one_built_from_its_rows(self):
+        rows = modmath.extended_gcd(1466, 237)[1].rows
+        built = EuclidTrace(1466, 237, rows)
+        fresh = [modmath.extended_gcd(1466, 237)[1] for _ in range(4)]
+        assert all("rows" not in vars(trace) for trace in fresh)  # none has been read yet
+        assert fresh[0] == built and built == fresh[1]
+        assert not fresh[2] != built
+        assert hash(fresh[3]) == hash(built)
+
+
+class TestFieldTypes:
+    """A field of the wrong type is a programming mistake, refused with TypeError at construction."""
+
+    def test_residue_modulus_must_be_a_modulus(self):
+        with pytest.raises(TypeError, match="Modulus"):
+            Residue(5, 221)
+
+    @pytest.mark.parametrize("e", [2.5, 29.0, True, "29"])
+    def test_public_exponent_must_be_an_int(self, e):
+        with pytest.raises(TypeError):
+            PublicKey(221, e)
+
+    @pytest.mark.parametrize("fields", [
+        (221, 53.0), (221, 53, 13.0, 17), (221, 53, 13, True), (221, 53, None, None, 192.0),
+    ])
+    def test_private_exponent_and_factors_must_be_ints(self, fields):
+        with pytest.raises(TypeError):
+            PrivateKey(*fields)
+
+
+def _value_types(cls=modmath.Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_types(sub)
+
+
+class TestValueContract:
+    """Every value type is covered by VALUES above, and all of them share one constructor."""
+
+    def test_every_value_type_is_in_the_table(self):
+        assert set(_value_types()) == {type(value) for value, *_ in VALUES}
+
+    def test_no_value_type_defines_init(self):
+        assert [cls for cls in _value_types() if "__init__" in vars(cls)] == []
+
+    def test_no_module_sets_attributes_behind_the_constructor(self):
+        sources = Path(modrsa.__file__).parent.glob("*.py")
+        assert [path.name for path in sources if "object.__setattr__" in path.read_text()] == []
