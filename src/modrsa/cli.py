@@ -101,12 +101,23 @@ def _print_columns(rows, out, width=0) -> None:
         out.write(" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _check_line(result, oracle_value, out) -> None:
-    if result == oracle_value:
+CHECK_STEPS = 10**7  # the most naive oracle steps --check may take: 1.4-2.5 s on a 2-vCPU guest
+
+
+def _print_checked(args, out, result, steps, mirror, *mirror_args) -> None:
+    """Print result; with --check, refuse above CHECK_STEPS steps, else compare oracle.<mirror>'s answer."""
+    if args.check and steps > CHECK_STEPS:
+        args.parser.error(f"--check runs at most {CHECK_STEPS} oracle steps, and this needs {steps}")
+    print(result, file=out)
+    if args.check:
+        from . import oracle  # only --check needs the naive mirrors
+
+        expected = getattr(oracle, mirror)(*mirror_args)
+        expected = getattr(expected, "value", expected)  # a Residue's value; None when no inverse exists
+        if result != expected:
+            print(f"check: mismatch (oracle says {expected})", file=out)
+            raise DomainError(f"oracle disagreement: expected {expected}")
         print("check: ok", file=out)
-    else:
-        print(f"check: mismatch (oracle says {oracle_value})", file=out)
-        raise DomainError(f"oracle disagreement: expected {oracle_value}")
 
 
 # --- modular arithmetic commands -------------------------------------------
@@ -140,12 +151,7 @@ def _cmd_gcd(args, stdin, out):
 
 def _cmd_inverse(args, stdin, out):
     x = modmath.reduce(args.x, args.n)
-    result = modmath.inverse(x)
-    print(result.value, file=out)
-    if args.check:
-        from . import oracle  # only --check needs the naive mirrors
-
-        _check_line(result.value, getattr(oracle.inverse_brute(x), "value", None), out)
+    _print_checked(args, out, modmath.inverse(x).value, x.modulus.n, "inverse_brute", x)
 
 
 def _cmd_table(args, stdin, out):
@@ -169,22 +175,12 @@ def _cmd_phi(args, stdin, out):
     if len(args.values) != 1:
         args.parser.error("phi takes exactly one argument: n")
     n = args.values[0]
-    result = modmath.phi(n)
-    print(result, file=out)
-    if args.check:
-        from . import oracle  # only --check needs the naive mirrors
-
-        _check_line(result, oracle.phi_brute(n), out)
+    _print_checked(args, out, modmath.phi(n), n, "phi_brute", n)
 
 
 def _cmd_powmod(args, stdin, out):
     x = modmath.reduce(args.x, args.n)
-    result = modmath.pow_mod(x, args.e)
-    print(result.value, file=out)
-    if args.check:
-        from . import oracle  # only --check needs the naive mirrors
-
-        _check_line(result.value, oracle.naive_pow(x, args.e).value, out)
+    _print_checked(args, out, modmath.pow_mod(x, args.e).value, args.e, "naive_pow", x, args.e)
 
 
 def _cmd_critical(args, stdin, out):
@@ -212,7 +208,7 @@ def _cmd_keygen(args, stdin, out):
         write_key_file(args.pub, pair.public_key)
     if args.priv:
         write_key_file(args.priv, pair.private_key)
-    for name in ("p", "q", "n", "phi", "e", "f"):
+    for name in pair._fields:
         print(f"{name} = {getattr(pair, name)}", file=out)
 
 

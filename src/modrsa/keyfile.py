@@ -1,10 +1,10 @@
 """Flat text key files, one `key = value` pair per line, fixed order.
 
-The first line, `kind = public` or `kind = private`, picks a row of
-_SCHEMA, and that kind's fields follow in the row's order. The first two
-are required; the rest (p, q, phi of a private key) are optional and may
-be left out, but never reordered or repeated. Files are 7-bit text with
-newline terminators; unknown keys are rejected.
+The first line, `kind = public` or `kind = private`, picks a key type
+from _SCHEMA, and that type's _fields follow in order. Those without a
+default are required; the rest (p, q, phi of a private key) are optional
+and may be left out, but never reordered or repeated. Files are 7-bit
+text with newline terminators; unknown keys are rejected.
 """
 
 import os
@@ -15,9 +15,7 @@ from .rsa import PrivateKey, PublicKey
 
 _LINE = re.compile(r"([a-z]+) = (\S+)")
 
-# kind -> (key type, field order); the first _REQUIRED fields are required
-_SCHEMA = {"public": (PublicKey, ("n", "e")), "private": (PrivateKey, ("n", "f", "p", "q", "phi"))}
-_REQUIRED = 2
+_SCHEMA = {"public": PublicKey, "private": PrivateKey}  # kind -> key type
 
 
 def write_key_file(path, key) -> None:
@@ -30,12 +28,12 @@ def write_key_file(path, key) -> None:
     """
     import tempfile  # here, not at the top, so only commands that write keys pay for its import
 
-    for kind, (key_type, names) in _SCHEMA.items():
+    for kind, key_type in _SCHEMA.items():
         if isinstance(key, key_type):
             break
     else:
         raise TypeError(f"expected PublicKey or PrivateKey, got {type(key).__name__}")
-    pairs = [("kind", kind)] + [(name, getattr(key, name)) for name in names]
+    pairs = [("kind", kind)] + [(name, getattr(key, name)) for name in key_type._fields]
     text = "".join(f"{k} = {v}\n" for k, v in pairs if v is not None)
     try:
         directory, name = os.path.split(path)
@@ -79,7 +77,7 @@ def read_key_file(path):
             raise KeyFileError(f"{path}: line {lineno}: malformed line (expected 'key = value')")
         entries.append((lineno, *match.groups()))
 
-    # names[pos] is the next field; the kind line extends names by its schema
+    # names[pos] is the next field; the kind line extends names by its key type's fields
     names, required, pos, fields = ("kind",), 1, 0, {}
     for lineno, key, value in entries:
         if pos < required:
@@ -94,8 +92,9 @@ def read_key_file(path):
         if key == "kind":
             if value not in _SCHEMA:
                 raise KeyFileError(f"{path}: line {lineno}: unknown kind '{value}'")
-            key_type, order = _SCHEMA[value]
-            names, required = names + order, 1 + _REQUIRED
+            key_type = _SCHEMA[value]
+            names += key_type._fields
+            required += len(key_type._fields) - len(key_type._field_defaults)
         elif not value.isdigit():
             raise KeyFileError(f"{path}: line {lineno}: value for '{key}' is not a decimal number")
         else:

@@ -13,9 +13,10 @@ factoriser, prime_factors, serves primality, square-freeness and phi.
 
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
-The value types are tuples of their fields on one small base, Value, which
-generates their constructors as namedtuple does, rather than dataclasses,
-so importing the package stays cheap; a trace row is a namedtuple.
+Each value type is a collections.namedtuple of its fields with one small
+base, Value, in front, which validates at construction and refuses what
+makes a tuple a sequence. namedtuple, not dataclasses, so importing the
+package stays cheap; a trace row is a plain namedtuple.
 """
 
 import enum
@@ -23,7 +24,7 @@ import itertools
 import math
 from collections import namedtuple
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .errors import (
     InvalidModulusError,
@@ -38,44 +39,35 @@ MAX_MODULUS = 2**31 - 1
 _new = tuple.__new__  # a value from its fields, unvalidated: for fields right by construction
 
 
-def _unsupported(self, other):
-    raise TypeError(f"{type(self).__qualname__} values are not ordered, added or repeated")
+def _unsupported(self, *args, **kwargs):
+    cls = self if isinstance(self, type) else type(self)
+    raise TypeError(f"{cls.__qualname__} values are not sequences, and only their constructor builds them")
 
 
-class Value(tuple):
-    """Base of the immutable value types: a tuple of the fields in _fields.
+class Value:
+    """Base of the value types, listed before a namedtuple of the fields: Modulus(Value, namedtuple(...)).
 
-    As namedtuple does, each subclass gets a property per field it does not
-    define itself and a __new__ taking the fields, by position or keyword,
-    with _defaults for the last ones; __new__ ends with self.__post_init__(),
-    looked up on the class, where a class validates. Values are equal only
-    to their own class, over the field attributes, as are hash and repr;
-    they are not ordered, added or repeated. Assignment and deletion raise
-    AttributeError; pickle and copy rebuild through the constructor. A class
-    with a functools.cached_property declares no __slots__, so that it has a
-    __dict__ to keep the computed value in.
+    The namedtuple gives the fields, their defaults and the constructor;
+    Value's __new__ then calls __post_init__, where a class validates. A
+    value equals only its own class, over the fields, as hash and repr go.
+    It is not a sequence: ordering, arithmetic, indexing, len, iteration,
+    membership, count, index, _make and _replace raise TypeError, and bool
+    is True.
+    Assignment raises AttributeError; pickle and copy rebuild through the
+    constructor. A class with a cached_property has no __slots__: it keeps
+    the computed value in its __dict__.
     """
 
     __slots__ = ()
-    _fields = ()
-    _defaults = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._key = attrgetter(*cls._fields)  # what equality and hashing compare
-        for i, name in enumerate(cls._fields):
-            if name not in vars(cls):
-                setattr(cls, name, property(itemgetter(i)))
-        if "__new__" not in vars(cls):
-            args = ", ".join(cls._fields)
-            namespace = {"_new": _new}
-            exec(f"def __new__(cls, {args}):\n"
-                 f"    self = _new(cls, ({args},))\n"
-                 f"    self.__post_init__()\n"
-                 f"    return self", namespace)
-            new = namespace["__new__"]
-            new.__defaults__, new.__qualname__ = cls._defaults, f"{cls.__qualname__}.__new__"
-            cls.__new__ = staticmethod(new)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         pass
@@ -89,7 +81,12 @@ class Value(tuple):
     def __hash__(self):
         return hash(self._key(self))
 
+    def __bool__(self):
+        return True
+
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _unsupported
+    __getitem__ = __len__ = __iter__ = __contains__ = count = index = _replace = _unsupported
+    _make = classmethod(_unsupported)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -112,11 +109,10 @@ def check_modulus(n) -> int:
     return n
 
 
-class Modulus(Value):
+class Modulus(Value, namedtuple("Modulus", "n")):
     """Clock size n >= 2; all arithmetic wraps modulo n."""
 
     __slots__ = ()
-    _fields = ("n",)
 
     def __post_init__(self):
         check_modulus(self.n)
@@ -126,7 +122,7 @@ def _as_modulus(n) -> Modulus:
     return n if isinstance(n, Modulus) else Modulus(n)
 
 
-class Residue(Value):
+class Residue(Value, namedtuple("Residue", "value modulus")):
     """Canonical representative of an integer class modulo a fixed n.
 
     The constructor insists on canonical form; use reduce() to wrap an
@@ -136,7 +132,6 @@ class Residue(Value):
     """
 
     __slots__ = ()
-    _fields = ("value", "modulus")
 
     def __post_init__(self):
         if isinstance(self.value, bool) or not isinstance(self.value, int):
@@ -256,7 +251,7 @@ def _euclid_rows(x: int, y: int) -> tuple[TraceRow, ...]:
     return tuple(rows)
 
 
-class EuclidTrace(Value):
+class EuclidTrace(Value, namedtuple("EuclidTrace", "x y rows", defaults=(None,))):
     """The full table produced by the extended Euclidean algorithm.
 
     Row one is (x, -, 1, 0), row two (y, q, 0, 1); each later row is
@@ -265,19 +260,16 @@ class EuclidTrace(Value):
     does, the trace runs that loop the first time its rows are read.
     """
 
-    _fields = ("x", "y", "rows")
-    _defaults = (None,)
-
     @cached_property
     def rows(self) -> tuple[TraceRow, ...]:
-        return _euclid_rows(self.x, self.y) if self[2] is None else self[2]
+        rows = tuple.__getitem__(self, 2)  # the raw item, which this property shadows
+        return _euclid_rows(self.x, self.y) if rows is None else rows
 
 
-class BezoutCertificate(Value):
+class BezoutCertificate(Value, namedtuple("BezoutCertificate", "g a b x y")):
     """Witness that a*x + b*y = g, where g is the gcd of x and y."""
 
     __slots__ = ()
-    _fields = ("g", "a", "b", "x", "y")
 
 
 def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:

@@ -18,6 +18,7 @@ to protect data.
 import bisect
 import itertools
 import math
+from collections import namedtuple
 from functools import cached_property
 
 from . import modmath
@@ -100,28 +101,27 @@ def phi_semiprime(p: int, q: int) -> int:
     return (p - 1) * (q - 1)
 
 
-def _check_ints(key, names) -> None:
+def _check_ints(key) -> None:
     # an exponent or factor that is not an int is a programming mistake, not bad input
-    for name in names:
+    for name in key._fields:
         value = getattr(key, name)
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-class PublicKey(_Value):
+class PublicKey(_Value, namedtuple("PublicKey", "n e")):
     """The shared half of a key pair: modulus n and public exponent e."""
 
     __slots__ = ()
-    _fields = ("n", "e")
 
     def __post_init__(self):
         modmath.check_modulus(self.n)
-        _check_ints(self, ("e",))
+        _check_ints(self)
         if self.e <= 1:
             raise ValueError(f"public exponent must be > 1, got {self.e}")
 
 
-class PrivateKey(_Value):
+class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None, None, None))):
     """The secret half: modulus n and private exponent f.
 
     May also carry the factors p, q and the unit count phi they imply;
@@ -131,12 +131,9 @@ class PrivateKey(_Value):
     keeps its CRT exponents, computed on first use, and decrypts with them.
     """
 
-    _fields = ("n", "f", "p", "q", "phi")
-    _defaults = (None, None, None)
-
     def __post_init__(self):
         modmath.check_modulus(self.n)
-        _check_ints(self, ("f", "p", "q", "phi"))
+        _check_ints(self)
         if self.f <= 1:
             raise ValueError(f"private exponent must be > 1, got {self.f}")
         p, q, phi = self.p, self.q, self.phi
@@ -164,20 +161,18 @@ class PrivateKey(_Value):
         return (p, (f - 1) % (p - 1) + 1, q, (f - 1) % (q - 1) + 1, pow(q, -1, p))
 
 
-class RsaKeyPair(_Value):
+class RsaKeyPair(_Value, namedtuple("RsaKeyPair", "p q n phi e f")):
     """Everything keygen knows: primes, modulus, unit count, both exponents.
 
     The constructor re-checks the defining relations, so a key pair object
     is always internally consistent no matter how it was built.
     """
 
-    _fields = ("p", "q", "n", "phi", "e", "f")
-
     def __post_init__(self):
         # the private key, built here and kept, checks distinct primes,
         # n = p*q, phi = (p-1)(q-1) and gcd(f, phi) = 1
         self.private_key  # noqa: B018
-        _check_ints(self, ("e",))
+        _check_ints(self)
         if not 1 < self.e < self.phi or not 1 < self.f < self.phi:
             raise ValueError("exponents must lie strictly between 1 and phi")
         if self.e * self.f % self.phi != 1:
@@ -192,11 +187,10 @@ class RsaKeyPair(_Value):
         return PrivateKey(self.n, self.f, self.p, self.q, self.phi)
 
 
-class NumberMessage(_Value):
-    """A sequence of residues modulo n; the wire form of every message."""
+class NumberMessage(_Value, namedtuple("NumberMessage", "values n")):
+    """Residues modulo n, the wire form of every message; len, iteration, in and truth go by its values."""
 
     __slots__ = ()
-    _fields = ("values", "n")
 
     def __new__(cls, values, n):
         self = tuple.__new__(cls, (tuple(values), n))
@@ -217,6 +211,9 @@ class NumberMessage(_Value):
 
     def __contains__(self, value):
         return value in self.values
+
+    def __bool__(self):
+        return bool(self.values)
 
 
 def keygen(p: int, q: int, e: int) -> RsaKeyPair:

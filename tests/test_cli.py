@@ -735,3 +735,33 @@ class TestOneWritePerLine:
             assert (proc.returncode, proc.stderr) == (0, b"")
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == "".join(text + "\n" for text in texts).encode()
+
+
+# Runs `python -m modrsa` with its address space capped at 256 MiB.
+_CAPPED = """
+import resource, runpy, sys
+limit = 256 * 2**20
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+runpy.run_module("modrsa", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestCheckBound:
+    """--check refuses oracle work above cli.CHECK_STEPS before it prints anything."""
+
+    @pytest.mark.parametrize("argv", [
+        ["powmod", "--check", "3", "100000000000", "7"],
+        ["inverse", "--check", "3", "2147483647"],
+        ["phi", "--check", "2147483647"],
+    ], ids=["powmod", "inverse", "phi"])
+    def test_oracle_work_above_the_bound_is_a_usage_error(self, argv):
+        pytest.importorskip("resource")
+        src = str(Path(modrsa.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith(f"error: --check runs at most {cli.CHECK_STEPS} oracle steps")
+        assert cli.CHECK_STEPS == 10**7

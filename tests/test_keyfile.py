@@ -221,3 +221,17 @@ def test_round_trip_every_optional_subset(tmp_path, present):
     path = tmp_path / "priv.txt"
     write_key_file(path, key)
     assert read_key_file(path) == key
+
+
+@pytest.mark.parametrize("key", [
+    PublicKey(221, 29),
+    PrivateKey(221, 53),
+    PrivateKey(221, 53, q=17),
+    PrivateKey(221, 53, phi=192),
+    PrivateKey(221, 53, 13, 17, 192),
+], ids=repr)
+def test_lines_follow_the_key_types_fields(tmp_path, key):
+    path = tmp_path / "key.txt"
+    write_key_file(path, key)
+    names = [line.split(" = ")[0] for line in path.read_text(encoding="ascii").splitlines()]
+    assert names == ["kind"] + [name for name in type(key)._fields if getattr(key, name) is not None]

@@ -314,3 +314,65 @@ class TestValueContract:
     def test_no_module_sets_attributes_behind_the_constructor(self):
         sources = Path(modrsa.__file__).parent.glob("*.py")
         assert [path.name for path in sources if "object.__setattr__" in path.read_text()] == []
+
+
+_SEQUENCE_OPERATIONS = {
+    "len": len,
+    "index": lambda value: value[0],
+    "iter": iter,
+    "in": lambda value: 5 in value,
+    "count": lambda value: value.count(5),
+    "index-of": lambda value: value.index(5),
+}
+
+
+class TestNotASequence:
+    """A value is a namedtuple underneath, but shows none of a sequence's behaviour."""
+
+    # len, iteration and membership of a message go over its values; the rest is refused for it too
+    @pytest.mark.parametrize("value, operation", [
+        (value, operation) for value, *_ in VALUES for operation in _SEQUENCE_OPERATIONS
+        if operation not in ("len", "iter", "in") or not isinstance(value, NumberMessage)
+    ], ids=lambda arg: arg if isinstance(arg, str) else type(arg).__name__)
+    def test_sequence_operations_raise(self, value, operation):
+        with pytest.raises(TypeError):
+            _SEQUENCE_OPERATIONS[operation](value)
+
+    @pytest.mark.parametrize("value, other, text, name", VALUES, ids=IDS)
+    def test_make_and_replace_raise(self, value, other, text, name):
+        with pytest.raises(TypeError):
+            type(value)._make(getattr(value, field) for field in value._fields)
+        with pytest.raises(TypeError):
+            value._make([getattr(value, field) for field in value._fields])
+        with pytest.raises(TypeError):
+            value._replace(**{name: getattr(value, name)})
+
+    @pytest.mark.parametrize("value, other, text, name", VALUES, ids=IDS)
+    def test_a_value_is_true(self, value, other, text, name):
+        assert bool(value) is True
+
+    def test_make_and_replace_cannot_skip_validation(self):
+        # f = 2 is not a unit mod phi = 192, so no key may carry it
+        with pytest.raises(TypeError):
+            PrivateKey(221, 53, 13, 17)._replace(f=2)
+        # two fields, as _make checks by len, and a value out of range
+        with pytest.raises(TypeError):
+            NumberMessage._make([(1, 300), 221])
+
+    def test_message_truth_follows_its_values(self):
+        assert NumberMessage((0,), 221) and not NumberMessage((), 221)
+
+
+class TestNamedTupleBase:
+    """Every value type is declared on a stdlib namedtuple; no source generates code."""
+
+    @pytest.mark.parametrize("cls", list(_value_types()), ids=lambda cls: cls.__name__)
+    def test_value_type_has_a_namedtuple_base_with_its_fields(self, cls):
+        bases = [base for base in cls.__bases__ if issubclass(base, tuple) and not issubclass(base, modmath.Value)]
+        assert len(bases) == 1 and hasattr(bases[0], "_field_defaults")
+        assert bases[0]._fields == cls._fields
+        assert cls.__bases__[0] is modmath.Value
+
+    def test_no_module_executes_generated_code(self):
+        sources = Path(modrsa.__file__).parent.glob("*.py")
+        assert [path.name for path in sources if "exec(" in path.read_text() or "eval(" in path.read_text()] == []
