@@ -1,7 +1,8 @@
 """Command-line front end: every library operation as a subcommand.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (not a unit, bad
-primes, malformed key file, and so on) or an unwritable standard output.
+primes, malformed key file, and so on), an unreadable standard input or
+an unwritable standard output.
 Output is deterministic: single values print as bare decimals, vectors
 as comma-separated values with no spaces, tables row-major with a header
 row. Message vectors are taken from an argument or, when omitted, one
@@ -11,8 +12,9 @@ before a bad one are answered.
 With --text, stdin is decoded by wire token: a transformed text is a
 substitution over at most 27 tokens, so each distinct token is parsed,
 checked and decoded once. rsa and keyfile are imported by the commands
-that use them, so the arithmetic commands do not load them. The streaming
-printers write each line in one call, so an unbuffered stdout makes one
+that use them, so the arithmetic commands do not load them. Each command
+handler returns or yields its output lines, without newlines, and run()
+alone writes them, each in one call, so an unbuffered stdout makes one
 write per line. main() freezes the heap before the process exits, so the
 interpreter does not collect what the operating system is about to reclaim.
 """
@@ -25,7 +27,7 @@ import sys
 from itertools import chain, repeat
 
 from . import modmath
-from .errors import DomainError, KeyFileError
+from .errors import DomainError
 
 PROG = "modrsa"
 
@@ -74,10 +76,10 @@ def _vector(text: str) -> tuple[int, ...]:
     return _numbers(text, _VECTOR, "number vector") if text else ()
 
 
-def read_key_file(path):
+def read_key_file(path, kind):
     from .keyfile import read_key_file  # on first use, so arithmetic commands skip keyfile and rsa
 
-    return read_key_file(path)
+    return read_key_file(path, kind)
 
 
 def write_key_file(path, key) -> None:
@@ -86,82 +88,78 @@ def write_key_file(path, key) -> None:
     write_key_file(path, key)
 
 
-def _print_vector(values, out) -> None:
-    print(",".join(str(v) for v in values), file=out)
+def _csv(values) -> str:
+    return ",".join(map(str, values))
 
 
-def _print_columns(rows, out, width=0) -> None:
-    """Right-align rows of cells, one space apart, with trailing blanks stripped.
+def _columns(rows, width=0):
+    """Yield rows of cells right-aligned, one space apart, with trailing blanks stripped.
 
     Every column is `width` wide or, when width is 0, as wide as its widest
     cell; rows must then be a list, since the widths are found first.
     """
     widths = repeat(width) if width else [max(map(len, column)) for column in zip(*rows)]
     for row in rows:
-        out.write(" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
+        yield " ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
 
 
 CHECK_STEPS = 10**7  # the most naive oracle steps --check may take: 1.4-2.5 s on a 2-vCPU guest
 
 
-def _print_checked(args, out, result, steps, mirror, *mirror_args) -> None:
-    """Print result; with --check, refuse above CHECK_STEPS steps, else compare oracle.<mirror>'s answer."""
+def _checked(args, result, steps, mirror, *mirror_args):
+    """Yield result; with --check, refuse above CHECK_STEPS steps, else compare oracle.<mirror>'s answer."""
     if args.check and steps > CHECK_STEPS:
         args.parser.error(f"--check runs at most {CHECK_STEPS} oracle steps, and this needs {steps}")
-    print(result, file=out)
+    yield result
     if args.check:
         from . import oracle  # only --check needs the naive mirrors
 
         expected = getattr(oracle, mirror)(*mirror_args)
         expected = getattr(expected, "value", expected)  # a Residue's value; None when no inverse exists
         if result != expected:
-            print(f"check: mismatch (oracle says {expected})", file=out)
+            yield f"check: mismatch (oracle says {expected})"
             raise DomainError(f"oracle disagreement: expected {expected}")
-        print("check: ok", file=out)
+        yield "check: ok"
 
 
 # --- modular arithmetic commands -------------------------------------------
 
-def _cmd_reduce(args, stdin, out):
-    print(modmath.reduce(args.x, args.n).value, file=out)
+def _cmd_reduce(args, stdin):
+    return [modmath.reduce(args.x, args.n).value]
 
 
-def _cmd_binop(args, stdin, out):
+def _cmd_binop(args, stdin):
     a = modmath.reduce(args.a, args.n)
     b = modmath.reduce(args.b, args.n)
     op = {"add": modmath.add, "sub": modmath.sub, "mul": modmath.mul, "div": modmath.divide}[args.op]
-    print(op(a, b).value, file=out)
+    return [op(a, b).value]
 
 
-def _cmd_gcd(args, stdin, out):
-    if args.extended:
-        cert, trace = modmath.extended_gcd(args.x, args.y)
-        print(f"gcd = {cert.g}", file=out)
-        print(f"a = {cert.a}", file=out)
-        print(f"b = {cert.b}", file=out)
-        # mirror the tabular layout: blank quotient on the first row, bare 0 last
-        rows = [("n", "q", "a", "b")]
-        for row in trace.rows:
-            q = "" if row.quotient is None else str(row.quotient)
-            rows.append(("0", "", "", "") if row.n == 0 else (str(row.n), q, str(row.a), str(row.b)))
-        _print_columns(rows, out)
-    else:
-        print(modmath.gcd(args.x, args.y), file=out)
+def _cmd_gcd(args, stdin):
+    if not args.extended:
+        return [modmath.gcd(args.x, args.y)]
+    cert, trace = modmath.extended_gcd(args.x, args.y)
+    # mirror the tabular layout: blank quotient on the first row, bare 0 last
+    rows = [("n", "q", "a", "b")]
+    for row in trace.rows:
+        q = "" if row.quotient is None else str(row.quotient)
+        rows.append(("0", "", "", "") if row.n == 0 else (str(row.n), q, str(row.a), str(row.b)))
+    return [f"gcd = {cert.g}", f"a = {cert.a}", f"b = {cert.b}", *_columns(rows)]
 
 
-def _cmd_inverse(args, stdin, out):
+def _cmd_inverse(args, stdin):
     x = modmath.reduce(args.x, args.n)
-    _print_checked(args, out, modmath.inverse(x).value, x.modulus.n, "inverse_brute", x)
+    return _checked(args, modmath.inverse(x).value, x.modulus.n, "inverse_brute", x)
 
 
-def _cmd_table(args, stdin, out):
+def _cmd_table(args, stdin):
     n = modmath.check_modulus(args.n)
     header = ["x"] + [str(c) for c in range(1, n)]
     rows = ([str(i)] + [str(r.value) for r in modmath.mul_row(i, n)] for i in range(1, n))
-    _print_columns(chain([header], rows), out, width=len(str(n - 1)))
+    return _columns(chain([header], rows), width=len(str(n - 1)))
 
 
-def _cmd_phi(args, stdin, out):
+def _cmd_phi(args, stdin):
     if args.semiprime:
         from . import rsa
 
@@ -170,37 +168,36 @@ def _cmd_phi(args, stdin, out):
         if len(args.values) != 2:
             args.parser.error("--semiprime takes exactly two arguments: p q")
         p, q = args.values
-        print(rsa.phi_semiprime(p, q), file=out)
-        return
+        return [rsa.phi_semiprime(p, q)]
     if len(args.values) != 1:
         args.parser.error("phi takes exactly one argument: n")
     n = args.values[0]
-    _print_checked(args, out, modmath.phi(n), n, "phi_brute", n)
+    return _checked(args, modmath.phi(n), n, "phi_brute", n)
 
 
-def _cmd_powmod(args, stdin, out):
+def _cmd_powmod(args, stdin):
     x = modmath.reduce(args.x, args.n)
-    _print_checked(args, out, modmath.pow_mod(x, args.e).value, args.e, "naive_pow", x, args.e)
+    return _checked(args, modmath.pow_mod(x, args.e).value, args.e, "naive_pow", x, args.e)
 
 
-def _cmd_critical(args, stdin, out):
+def _cmd_critical(args, stdin):
     phi = modmath.phi(args.n)
-    _print_vector(modmath.critical_exponents(args.n, phi, args.count), out)
+    return [_csv(modmath.critical_exponents(args.n, phi, args.count))]
 
 
-def _cmd_classify(args, stdin, out):
-    print(modmath.classify(modmath.reduce(args.x, args.n)).value, file=out)
+def _cmd_classify(args, stdin):
+    return [modmath.classify(modmath.reduce(args.x, args.n)).value]
 
 
-def _cmd_crt(args, stdin, out):
+def _cmd_crt(args, stdin):
     x = modmath.reduce(args.x, args.p * args.q)
     rp, rq = modmath.crt_decompose(x, args.p, args.q)
-    _print_vector((rp.value, rq.value), out)
+    return [_csv((rp.value, rq.value))]
 
 
 # --- RSA commands -----------------------------------------------------------
 
-def _cmd_keygen(args, stdin, out):
+def _cmd_keygen(args, stdin):
     from . import rsa
 
     pair = rsa.keygen(args.p, args.q, args.e)
@@ -208,17 +205,7 @@ def _cmd_keygen(args, stdin, out):
         write_key_file(args.pub, pair.public_key)
     if args.priv:
         write_key_file(args.priv, pair.private_key)
-    for name in pair._fields:
-        print(f"{name} = {getattr(pair, name)}", file=out)
-
-
-def _load_key(path, kind):
-    from . import rsa
-
-    key = read_key_file(path)
-    if not isinstance(key, getattr(rsa, kind)):
-        raise KeyFileError(f"{path}: expected a {'public' if kind == 'PublicKey' else 'private'} key")
-    return key
+    return [f"{name} = {getattr(pair, name)}" for name in pair._fields]
 
 
 def _stdin_vector(lineno, line) -> tuple[int, ...]:
@@ -275,28 +262,24 @@ def _decode_stdin(stdin, transform, key):
         yield text
 
 
-def _cmd_power(args, stdin, out):
+def _cmd_power(args, stdin):
     """encrypt, sign, decrypt and verify: raise each message to the key's exponent."""
     from . import rsa
 
     if args.numbers is not None and args.text is not None:
         args.parser.error("give either TEXT or --numbers, not both")
-    key = _load_key(args.key, args.key_type)
+    key = read_key_file(args.key, args.kind)
     transform = getattr(rsa, args.transform)
     if args.decode and args.numbers is None:
-        lines = _decode_stdin(stdin, transform, key)
-    elif args.decode:
-        lines = rsa.decode_stream(_input_messages(args, stdin, key.n), transform, key)
-    else:
-        lines = (",".join(map(str, transform(msg, key))) for msg in _input_messages(args, stdin, key.n))
-    for line in lines:
-        out.write(line + "\n")
+        return _decode_stdin(stdin, transform, key)
+    show = rsa.decode_text if args.decode else _csv
+    return (show(transform(msg, key)) for msg in _input_messages(args, stdin, key.n))
 
 
-def _cmd_suggest_primes(args, stdin, out):
+def _cmd_suggest_primes(args, stdin):
     from . import rsa
 
-    _print_vector(rsa.primes_in_range(args.lo, args.hi), out)
+    return [_csv(rsa.primes_in_range(args.lo, args.hi))]
 
 
 # --- parser -----------------------------------------------------------------
@@ -366,16 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", metavar="PATH", help="write the public key file here")
     p.add_argument("--priv", metavar="PATH", help="write the private key file here")
 
-    # the transform and key type are named here and looked up in rsa at dispatch
-    for name, key_type, help in (
-        ("encrypt", "PublicKey", "raise message values to the public exponent"),
-        ("decrypt", "PrivateKey", "raise message values to the private exponent"),
-        ("sign", "PrivateKey", "raise message values to the private exponent"),
-        ("verify", "PublicKey", "raise signed values to the public exponent"),
+    # the transform is named here and looked up in rsa at dispatch; keyfile checks the key's kind
+    for name, kind, help in (
+        ("encrypt", "public", "raise message values to the public exponent"),
+        ("decrypt", "private", "raise message values to the private exponent"),
+        ("sign", "private", "raise message values to the private exponent"),
+        ("verify", "public", "raise signed values to the public exponent"),
     ):
         p = command(name, _cmd_power, help)
-        p.set_defaults(transform=name, key_type=key_type)
-        p.add_argument("--key", metavar="PUBFILE" if key_type == "PublicKey" else "PRIVFILE", required=True)
+        p.set_defaults(transform=name, kind=kind)
+        p.add_argument("--key", metavar="PUBFILE" if kind == "public" else "PRIVFILE", required=True)
         if name in ("encrypt", "sign"):
             # plain messages: letters to encode, or raw numbers
             p.set_defaults(decode=False)
@@ -395,13 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv, *, stdin=None, stdout=None, stderr=None) -> int:
-    """Parse argv, dispatch, and return the exit code (0/1/2)."""
+    """Parse argv, dispatch, write the handler's lines, and return the exit code (0/1/2).
+
+    The one writer of stdout: each line goes out with its newline in one
+    write. An OSError from a write is a stdout failure; one from the
+    handler is a stdin failure, as key-file errors are KeyFileErrors.
+    """
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
         args = build_parser().parse_args(argv)
-        args.handler(args, stdin, stdout)
+        for line in args.handler(args, stdin):
+            try:
+                stdout.write(f"{line}\n")
+            except OSError as err:
+                return _output_failed(err, stderr)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except _UsageError as err:
@@ -412,7 +404,8 @@ def run(argv, *, stdin=None, stdout=None, stderr=None) -> int:
         print(f"error: {err}", file=stderr)
         return 2
     except OSError as err:
-        return _output_failed(err, stderr)
+        print(f"error: cannot read standard input ({err.strerror})", file=stderr)
+        return 2
     return 0
 
 

@@ -49,12 +49,14 @@ def write_key_file(path, key) -> None:
         raise KeyFileError(f"{path}: cannot write key file ({exc.strerror})") from None
 
 
-def read_key_file(path):
+def read_key_file(path, kind=None):
     """Parse a key file back into a PublicKey or PrivateKey.
 
     Raises KeyFileError, naming the offending line, for anything that
     strays from the format: malformed lines, unknown kinds, unknown or
     out-of-order keys, missing fields, non-decimal or oversized values.
+    Then inconsistent values raise it, and last, when kind ("public" or
+    "private") is given, a file of the other kind.
     """
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
@@ -106,6 +108,9 @@ def read_key_file(path):
         raise KeyFileError(f"{path}: line {len(lines) + 1}: missing field '{names[pos]}'")
 
     try:
-        return key_type(**fields)
+        key = key_type(**fields)
     except (ValueError, DomainError) as exc:
         raise KeyFileError(f"{path}: invalid key values ({exc})") from None
+    if kind is not None and _SCHEMA[kind] is not key_type:
+        raise KeyFileError(f"{path}: expected a {kind} key")
+    return key

@@ -1,3 +1,4 @@
+import ast
 import errno
 import gc
 import io
@@ -118,6 +119,11 @@ class TestExitCodes:
         code, _, err = run_cli(["encrypt", "--key", keys["priv221"], "HI"])
         assert code == 2
         assert "expected a public key" in err
+
+    def test_public_key_for_a_private_command_is_domain_error(self, keys):
+        assert run_cli(["decrypt", "--key", keys["pub221"], "1,2"]) == (
+            2, "", f"error: {keys['pub221']}: expected a private key\n"
+        )
 
     def test_text_with_small_modulus_is_domain_error(self, keys):
         code, _, err = run_cli(["encrypt", "--key", keys["pub22"], "HI"])
@@ -735,6 +741,63 @@ class TestOneWritePerLine:
             assert (proc.returncode, proc.stderr) == (0, b"")
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == "".join(text + "\n" for text in texts).encode()
+
+    @pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+    def test_golden_commands(self, name, argv, keys):
+        out = _RecordingWriter()
+        assert cli.run(fill_argv(argv, keys), stdin=io.StringIO(), stdout=out) == 0
+        assert out.calls == (GOLDEN_DIR / f"{name}.out").read_text(encoding="ascii").splitlines(keepends=True)
+
+
+class _UnreadableAfterFirstLine:
+    """A stdin that gives one line, then fails as a device read does."""
+
+    def __init__(self, line):
+        self.line = line
+
+    def __iter__(self):
+        yield self.line
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+class TestUnreadableStdin:
+    """A failed stdin read exits 2 with a stdin error, after the lines read before it are answered."""
+
+    @pytest.mark.parametrize("argv, line, answer", [
+        (["encrypt", "--key", "{pub221}"], "8,5,5,12,16\n", (GOLDEN_DIR / "encrypt-numbers.out").read_text()),
+        (["verify", "--key", "{pub221}", "--text"], _signed_lines(["HELLO"]), "HELLO\n"),
+    ], ids=["encrypt", "verify-text"])
+    def test_read_error(self, argv, line, answer, keys):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(fill_argv(argv, keys), stdin=_UnreadableAfterFirstLine(line), stdout=out, stderr=err)
+        assert (code, out.getvalue()) == (2, answer)
+        assert err.getvalue() == f"error: cannot read standard input ({os.strerror(errno.EIO)})\n"
+
+
+def _cli_top_level():
+    """(name, node) for each top-level statement of cli.py; a function or class by its name."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    return [(getattr(node, "name", "<module>"), node) for node in tree.body]
+
+
+class TestOneOutputPath:
+    """run() alone writes stdout; the command handlers return their lines."""
+
+    def test_only_run_and_the_exit_paths_write(self):
+        writers = {
+            name for name, top in _cli_top_level() for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == "print"
+            or isinstance(node, ast.Attribute) and node.attr == "write"
+        }
+        assert "run" in writers and writers <= {"run", "_output_failed", "main"}
+
+    def test_handlers_take_no_stream_to_write(self):
+        handlers = {
+            name: [arg.arg for arg in node.args.args]
+            for name, node in _cli_top_level() if name.startswith("_cmd_")
+        }
+        assert len(handlers) == 13
+        assert {name: ["args", "stdin"] for name in handlers} == handlers
 
 
 # Runs `python -m modrsa` with its address space capped at 256 MiB.

@@ -150,6 +150,35 @@ def test_factors_imply_phi_for_the_exponent_check(tmp_path):
     _expect_error(tmp_path, content, "invalid key values (private exponent 2 is not a unit mod phi = 192)")
 
 
+@pytest.mark.parametrize("key, kind", [
+    (PublicKey(221, 29), "public"),
+    (PrivateKey(221, 53, 13, 17, 192), "private"),
+], ids=["public", "private"])
+def test_a_file_of_the_asked_kind_is_read(tmp_path, key, kind):
+    path = tmp_path / "key.txt"
+    write_key_file(path, key)
+    assert read_key_file(path, kind) == key
+
+
+@pytest.mark.parametrize("key, kind", [
+    (PrivateKey(221, 53, 13, 17, 192), "public"),
+    (PublicKey(221, 29), "private"),
+], ids=["private-as-public", "public-as-private"])
+def test_a_file_of_the_other_kind_is_refused(tmp_path, key, kind):
+    path = tmp_path / "key.txt"
+    write_key_file(path, key)
+    with pytest.raises(KeyFileError) as exc:
+        read_key_file(path, kind)
+    assert str(exc.value) == f"{path}: expected a {kind} key"
+
+
+def test_inconsistent_values_are_reported_before_the_kind(tmp_path):
+    path = tmp_path / "key.txt"
+    path.write_bytes(b"kind = private\nn = 221\nf = 53\np = 11\nq = 17\nphi = 5\n")
+    with pytest.raises(KeyFileError, match="invalid key values"):
+        read_key_file(path, "public")
+
+
 # Writes the 221 private key to argv[1] with the file size limit at 20 bytes,
 # so the write fails part way, as on a full disk.
 _LIMITED_WRITE = """
