@@ -216,23 +216,6 @@ def _stdin_vector(lineno, line) -> tuple[int, ...]:
         raise DomainError(f"standard input line {lineno}: {err}") from None
 
 
-def _input_messages(args, stdin, n):
-    """Messages from --numbers, a text argument, or stdin (one vector per line).
-
-    Stdin is read line by line, so each result can be printed before the
-    next line is parsed.
-    """
-    from . import rsa
-
-    if args.numbers is not None:
-        yield rsa.NumberMessage(args.numbers, n)
-    elif args.text is not None:
-        yield rsa.encode_text(args.text, n)
-    else:
-        for lineno, line in enumerate(stdin, start=1):
-            yield rsa.NumberMessage(_stdin_vector(lineno, line), n)
-
-
 def _decode_stdin(stdin, transform, key):
     """Yield the text of each stdin line, as decode_stream would.
 
@@ -263,17 +246,29 @@ def _decode_stdin(stdin, transform, key):
 
 
 def _cmd_power(args, stdin):
-    """encrypt, sign, decrypt and verify: raise each message to the key's exponent."""
+    """encrypt, sign, decrypt and verify: raise each message to the key's exponent.
+
+    The message comes from one of three sources: the vector of --numbers
+    (an argument for decrypt and verify), the text argument, or standard
+    input, one vector per line, each line read only after the one before
+    it is answered. With --text, stdin lines are decoded by _decode_stdin.
+    """
     from . import rsa
 
     if args.numbers is not None and args.text is not None:
         args.parser.error("give either TEXT or --numbers, not both")
     key = read_key_file(args.key, args.kind)
     transform = getattr(rsa, args.transform)
-    if args.decode and args.numbers is None:
+    if args.numbers is not None:
+        messages = [rsa.NumberMessage(args.numbers, key.n)]
+    elif args.text is not None:
+        messages = [rsa.encode_text(args.text, key.n)]
+    elif args.decode:
         return _decode_stdin(stdin, transform, key)
+    else:
+        messages = (rsa.NumberMessage(_stdin_vector(lineno, line), key.n) for lineno, line in enumerate(stdin, 1))
     show = rsa.decode_text if args.decode else _csv
-    return (show(transform(msg, key)) for msg in _input_messages(args, stdin, key.n))
+    return (show(transform(msg, key)) for msg in messages)
 
 
 def _cmd_suggest_primes(args, stdin):
@@ -363,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
             # plain messages: letters to encode, or raw numbers
             p.set_defaults(decode=False)
             p.add_argument("--numbers", type=_vector, metavar="V1,V2,...")
-            p.add_argument("text", nargs="?", help="message text (A-Z and space)")
+            p.add_argument("text", nargs="?", help="message text (A-Z, a-z and space)")
         else:
             # transformed vectors, optionally decoded back to letters
             p.set_defaults(text=None)

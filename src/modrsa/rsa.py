@@ -39,6 +39,11 @@ from .modmath import Value as _Value
 # A = 1, B = 2, ..., Z = 26, space = 27.
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
 
+# The letter code, read each way: _LETTER maps 1..27 to letters and _CODE
+# maps A-Z, a-z and space to codes; nothing else is a letter or a code.
+_LETTER = dict(enumerate(ALPHABET, start=1))
+_CODE = {ch: code for code, letter in _LETTER.items() for ch in (letter, letter.lower())}
+
 # Letter codes run 1..27, so a message modulus must be at least 28
 # for every code to be a distinct nonzero residue.
 MIN_TEXT_MODULUS = len(ALPHABET) + 1
@@ -83,7 +88,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return primes
 
 
-def _check_prime_pair(p: int, q: int) -> None:
+def phi_semiprime(p: int, q: int) -> int:
+    """Unit count (p-1)*(q-1) for a modulus built from distinct primes."""
     # bound the modulus first, so trial division never runs on huge inputs
     if p * q > modmath.MAX_MODULUS:
         raise InvalidModulusError(p * q)
@@ -93,11 +99,6 @@ def _check_prime_pair(p: int, q: int) -> None:
         raise NonPrimeError("q", q)
     if p == q:
         raise EqualPrimesError(p)
-
-
-def phi_semiprime(p: int, q: int) -> int:
-    """Unit count (p-1)*(q-1) for a modulus built from distinct primes."""
-    _check_prime_pair(p, q)
     return (p - 1) * (q - 1)
 
 
@@ -150,7 +151,7 @@ class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None,
         if phi is not None and math.gcd(self.f, phi) != 1:
             raise ValueError(f"private exponent {self.f} is not a unit mod phi = {phi}")
         if both:
-            _check_prime_pair(p, q)
+            phi_semiprime(p, q)
 
     @cached_property
     def _crt(self):  # (p, d_p, q, d_q, q**-1 mod p) with both factors, else None; not a field
@@ -238,20 +239,18 @@ def keygen(p: int, q: int, e: int) -> RsaKeyPair:
 
 
 def encode_text(text: str, n: int) -> NumberMessage:
-    """Letter codes for a message: A=1 .. Z=26, space=27, case-folded.
+    """Letter codes for a message: A=1 .. Z=26, space=27, with a-z read as A-Z.
 
-    n is the modulus the message will live under; anything outside A-Z
-    and space is rejected with the offending character and position.
+    n is the modulus the message will live under; the first character
+    outside A-Z, a-z and space is rejected with its position.
     """
     if n < MIN_TEXT_MODULUS:
         raise ModulusTooSmallError(n)
-    values = []
-    for pos, ch in enumerate(text):
-        code = ALPHABET.find(ch.upper())
-        if code < 0:
-            raise UnsupportedCharacterError(ch, pos)
-        values.append(code + 1)
-    return NumberMessage(tuple(values), n)
+    values = [_CODE.get(ch) for ch in text]
+    if None in values:
+        pos = values.index(None)
+        raise UnsupportedCharacterError(text[pos], pos)
+    return NumberMessage(values, n)
 
 
 def decode_text(msg: NumberMessage) -> str:
@@ -261,11 +260,10 @@ def decode_text(msg: NumberMessage) -> str:
     decode_stream applies it to a stream of transformed messages, powering
     each distinct value once.
     """
-    chars = []
-    for pos, v in enumerate(msg.values):
-        if not 1 <= v <= len(ALPHABET):
-            raise ValueOutOfAlphabetError(v, pos)
-        chars.append(ALPHABET[v - 1])
+    chars = [_LETTER.get(v) for v in msg.values]
+    if None in chars:
+        pos = chars.index(None)
+        raise ValueOutOfAlphabetError(msg.values[pos], pos)
     return "".join(chars)
 
 
@@ -287,7 +285,7 @@ def decode_stream(messages, transform, key):
         missing = set(msg.values).difference(table)
         powers = dict(zip(missing, transform(NumberMessage(missing, msg.n), key)))
         for v, code in powers.items():
-            if 1 <= code <= len(ALPHABET) and len(table) < len(ALPHABET):
+            if code in _LETTER and len(table) < len(ALPHABET):
                 table[v] = code
         powers.update(table)
         yield decode_text(NumberMessage(map(powers.__getitem__, msg.values), msg.n))

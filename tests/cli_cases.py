@@ -1,7 +1,8 @@
-"""Shared CLI helpers: an in-process runner, standard key files, and the
+"""Shared CLI helpers: an in-process runner, standard key files, the
 golden-file manifest exercised by both the CLI tests and the acceptance
-suite. Golden files live in tests/golden/, one per case, holding the
-exact expected stdout."""
+suite, and the case-mapped characters the codec tests refuse. Golden
+files live in tests/golden/, one per case, holding the exact expected
+stdout."""
 
 import io
 from pathlib import Path
@@ -11,6 +12,16 @@ from modrsa.keyfile import write_key_file
 from modrsa.rsa import keygen
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Every code point outside ASCII whose upper(), lower() or casefold()
+# contains an ASCII letter, found by a scan of all of Unicode (too slow to
+# repeat here). Escapes, not literals: an editor may fold U+212A (the
+# Kelvin sign) to K.
+CASE_MAPPED_TO_ASCII = [
+    "\u00df", "\u0130", "\u0131", "\u0149", "\u017f", "\u01f0",
+    "\u1e96", "\u1e97", "\u1e98", "\u1e99", "\u1e9a", "\u1e9e", "\u212a",
+    "\ufb00", "\ufb01", "\ufb02", "\ufb03", "\ufb04", "\ufb05", "\ufb06",
+]
 
 # (golden file name, argv); {pub221} and friends are key file placeholders
 GOLDEN_CASES = [

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import modrsa
-from cli_cases import GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
+from cli_cases import CASE_MAPPED_TO_ASCII, GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
 from modrsa import cli
 from modrsa.keyfile import read_key_file
 from modrsa.modmath import Residue
@@ -224,6 +224,21 @@ class TestExitCodes:
         assert lines[1] == "a = -11"
         assert lines[2] == "b = 5"
         assert -11 * 504 + 5 * 1113 == 21
+
+
+class TestCaseMappedText:
+    """encrypt refuses every character outside A-Z, a-z and space, the case-mapped ones too."""
+
+    def test_ligature_st_is_refused(self, keys):
+        assert run_cli(["encrypt", "--key", keys["pub221"], "\ufb06OP"]) == (
+            2, "", "error: unsupported character '\ufb06' at position 0: only A-Z and space can be encoded\n"
+        )
+
+    @pytest.mark.parametrize("ch", CASE_MAPPED_TO_ASCII, ids=[f"U+{ord(c):04X}" for c in CASE_MAPPED_TO_ASCII])
+    def test_refused_at_their_position(self, ch, keys):
+        code, out, err = run_cli(["encrypt", "--key", keys["pub221"], "A" + ch + "B"])
+        assert (code, out) == (2, "")
+        assert err == f"error: unsupported character {ch!r} at position 1: only A-Z and space can be encoded\n"
 
 
 class TestStdinVectors:

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from cli_cases import CASE_MAPPED_TO_ASCII
 from modrsa import modmath, oracle, rsa
 from modrsa.errors import (
     EqualPrimesError,
@@ -481,3 +484,56 @@ class TestExponentRules:
         with pytest.raises(ValueError) as err:
             make()
         assert str(err.value) == text
+
+
+class TestLetterCode:
+    """Exactly A-Z, a-z and space encode, and exactly 1..27 decode."""
+
+    @pytest.mark.parametrize("ch", CASE_MAPPED_TO_ASCII, ids=[f"U+{ord(c):04X}" for c in CASE_MAPPED_TO_ASCII])
+    def test_case_mapped_characters_are_refused_at_their_position(self, ch):
+        with pytest.raises(UnsupportedCharacterError) as exc:
+            encode_text("A" + ch + "B", 221)
+        assert (exc.value.char, exc.value.position) == (ch, 1)
+
+    def test_exactly_the_ascii_letters_and_space_encode(self):
+        for ch in map(chr, range(256)):
+            if ch in rsa.ALPHABET + rsa.ALPHABET.lower():
+                assert encode_text(ch, 221).values == (rsa.ALPHABET.index(ch.upper()) + 1,)
+            else:
+                with pytest.raises(UnsupportedCharacterError):
+                    encode_text(ch, 221)
+
+    def test_exactly_the_codes_decode(self):
+        for v in range(221):
+            if 1 <= v <= 27:
+                assert decode_text(NumberMessage((27, v), 221)) == " " + rsa.ALPHABET[v - 1]
+            else:
+                with pytest.raises(ValueOutOfAlphabetError) as exc:
+                    decode_text(NumberMessage((27, v), 221))
+                assert (exc.value.value, exc.value.position) == (v, 1)
+
+
+def _rsa_functions():
+    """name -> FunctionDef for each top-level function of rsa.py."""
+    tree = ast.parse(Path(rsa.__file__).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+class TestOneLetterTable:
+    """The codec reads the letter code from one table each way, with no case mapping."""
+
+    def test_codec_calls_no_case_mapping_or_search(self):
+        functions = _rsa_functions()
+        for name in ("encode_text", "decode_text", "decode_stream"):
+            called = {
+                node.func.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            }
+            assert not called & {"upper", "lower", "casefold", "find"}, name
+
+    @pytest.mark.parametrize("name, table", [
+        ("encode_text", "_CODE"), ("decode_text", "_LETTER"), ("decode_stream", "_LETTER"),
+    ])
+    def test_codec_reads_the_tables(self, name, table):
+        names = {node.id for node in ast.walk(_rsa_functions()[name]) if isinstance(node, ast.Name)}
+        assert table in names
