@@ -4,9 +4,10 @@ Key generation from caller-chosen primes (checked by trial division,
 after the modulus bound), prime ranges by a segmented sieve of
 Eratosthenes, the 27-symbol letter codec, and the
 encrypt/decrypt/sign/verify protocol, one letter per residue with no
-blocking. Every message transform is builtin pow applied to each value;
-decrypt and sign, given a private key that carries both primes, take
-each power as two half-size powers recombined by CRT. One letter per
+blocking. Encrypt, decrypt, sign and verify are one function, the map
+x -> x^k mod n, and the key decides k: e for a public key, f for a
+private one. A private key that carries both primes takes each power as
+two half-size powers recombined by CRT. One letter per
 residue makes a transformed text a substitution cipher over 27 codes,
 so decode_stream, which is decode_text of each transformed message,
 keeps a memo of at most 27 powers and powers each distinct value once.
@@ -102,11 +103,17 @@ def phi_semiprime(p: int, q: int) -> int:
     return (p - 1) * (q - 1)
 
 
+def _not_int(value) -> bool:
+    # the rule for exponents, factors and message values: an int, and not a bool
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
 def _check_ints(key) -> None:
-    # an exponent or factor that is not an int is a programming mistake, not bad input
+    # an exponent or factor that is not an int is a programming mistake, not bad input;
+    # n is left to check_modulus, which every key runs first
     for name in key._fields:
         value = getattr(key, name)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        if name != "n" and value is not None and _not_int(value):
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
@@ -121,6 +128,10 @@ class PublicKey(_Value, namedtuple("PublicKey", "n e")):
         if self.e <= 1:
             raise ValueError(f"public exponent must be > 1, got {self.e}")
 
+    def _powers(self, values):  # values -> their e-th powers mod n, as PrivateKey._powers gives f-th
+        e, n = self.e, self.n
+        return (pow(v, e, n) for v in values)
+
 
 class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None, None, None))):
     """The secret half: modulus n and private exponent f.
@@ -129,7 +140,7 @@ class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None,
     those travel in private key files. Whichever of them are present must
     agree with n, f and each other, and p and q together must be distinct
     primes whose phi = (p-1)(q-1) has f as a unit. A key with both factors
-    keeps its CRT exponents, computed on first use, and decrypts with them.
+    powers by CRT, with exponents computed on first use.
     """
 
     def __post_init__(self):
@@ -154,12 +165,15 @@ class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None,
             phi_semiprime(p, q)
 
     @cached_property
-    def _crt(self):  # (p, d_p, q, d_q, q**-1 mod p) with both factors, else None; not a field
-        p, q, f = self.p, self.q, self.f
+    def _powers(self):  # values -> their f-th powers mod n, built once per key; not a field
+        p, q, f, n = self.p, self.q, self.f, self.n
         if p is None or q is None:
-            return None
+            return lambda values: (pow(v, f, n) for v in values)
+        # Quisquater-Couvreur: v^d_p mod p and v^d_q mod q, recombined by Garner. d_p is
         # f mod (p-1), shifted into [1, p-1] so that 0 still powers to 0 (p = 2 gives f mod 1 = 0)
-        return (p, (f - 1) % (p - 1) + 1, q, (f - 1) % (q - 1) + 1, pow(q, -1, p))
+        d_p, d_q, q_inv = (f - 1) % (p - 1) + 1, (f - 1) % (q - 1) + 1, pow(q, -1, p)
+        garner = modmath.garner
+        return lambda values: (garner(pow(v, d_p, p), pow(v, d_q, q), p, q, q_inv) for v in values)
 
 
 class RsaKeyPair(_Value, namedtuple("RsaKeyPair", "p q n phi e f")):
@@ -201,8 +215,13 @@ class NumberMessage(_Value, namedtuple("NumberMessage", "values n")):
     def __post_init__(self):
         n = modmath.check_modulus(self.n)
         for v in self.values:
-            if not 0 <= v < n:
-                raise MessageRangeError(v, n)
+            if type(v) is not int or not 0 <= v < n:  # one cheap test per value; the first fault is named below
+                for pos, v in enumerate(self.values):
+                    if _not_int(v):
+                        raise TypeError(f"message value at position {pos} must be an int, got {v!r}")
+                    if not 0 <= v < n:
+                        raise MessageRangeError(v, n)
+                return  # ints in range, some of an int subclass such as IntEnum
 
     def __iter__(self):
         return iter(self.values)
@@ -291,37 +310,15 @@ def decode_stream(messages, transform, key):
         yield decode_text(NumberMessage(map(powers.__getitem__, msg.values), msg.n))
 
 
-def _pow_message(msg: NumberMessage, exponent: int, n: int) -> NumberMessage:
-    if msg.n != n:
-        raise ModulusMismatchError(msg.n, n)
-    return NumberMessage(tuple(pow(v, exponent, n) for v in msg.values), n)
-
-
-def encrypt(msg: NumberMessage, key: PublicKey) -> NumberMessage:
-    """Raise every message value to the public exponent e."""
-    return _pow_message(msg, key.e, key.n)
-
-
-def decrypt(msg: NumberMessage, key: PrivateKey) -> NumberMessage:
-    """Raise every message value to the private exponent f.
-
-    When the key carries p and q, each value v is raised to d_p mod p and
-    to d_q mod q, and the two halves are recombined by modmath.garner
-    (Quisquater-Couvreur CRT). The result is pow(v, f, n) for every v.
-    """
-    if key._crt is None:
-        return _pow_message(msg, key.f, key.n)
+def transform(msg: NumberMessage, key) -> NumberMessage:
+    """Raise each message value to the key's exponent mod n: e for a PublicKey, f for a PrivateKey."""
     if msg.n != key.n:
         raise ModulusMismatchError(msg.n, key.n)
-    p, d_p, q, d_q, q_inv = key._crt
-    garner = modmath.garner
-    values = tuple(garner(pow(v, d_p, p), pow(v, d_q, q), p, q, q_inv) for v in msg.values)
-    return NumberMessage(values, key.n)
+    return NumberMessage(key._powers(msg.values), key.n)
 
 
-# Signing is exponentiation by the private f, the same map as decrypt, and
-# verifying recovers a signed message with the public e, as encrypt does.
+# The four operations are the one map, and the key picks the exponent:
+# encrypt and verify take a public key, decrypt and sign a private one.
 # This signs the raw numbers, with no hashing: anyone can forge a
 # "signature" of a chosen ciphertext. Textbook semantics only.
-sign = decrypt
-verify = encrypt
+encrypt = decrypt = sign = verify = transform

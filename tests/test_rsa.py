@@ -537,3 +537,92 @@ class TestOneLetterTable:
     def test_codec_reads_the_tables(self, name, table):
         names = {node.id for node in ast.walk(_rsa_functions()[name]) if isinstance(node, ast.Name)}
         assert table in names
+
+
+class TestOneTransform:
+    """encrypt, decrypt, sign and verify are one map, x -> x^k mod n; the key supplies k."""
+
+    def test_four_operations_are_one_function(self):
+        assert rsa.encrypt is rsa.decrypt is rsa.sign is rsa.verify
+
+    def test_one_message_transform_path(self):
+        tree = ast.parse(Path(rsa.__file__).read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "_pow_message" not in names
+        mismatch_raises = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ModulusMismatchError"
+        ]
+        assert len(mismatch_raises) == 1
+
+
+class TestPowerModuli:
+    """Which moduli builtin pow is called with: a key with p and q powers by CRT, others mod n."""
+
+    VALUES = (0, 1, 48, 107, 220)
+
+    @pytest.fixture
+    def moduli(self, monkeypatch):
+        calls = []
+
+        def recording_pow(base, exp, mod=None):
+            calls.append((exp, mod))
+            return pow(base, exp, mod)
+
+        # rsa's own globals come before builtins, so every pow in rsa.py goes through it
+        monkeypatch.setattr(rsa, "pow", recording_pow, raising=False)
+        return calls
+
+    def test_private_key_with_factors_powers_mod_p_and_q(self, moduli):
+        key = PrivateKey(221, 53, 13, 17)
+        got = decrypt(NumberMessage(self.VALUES, 221), key)
+        assert got.values == tuple(pow(v, 53, 221) for v in self.VALUES)
+        assert moduli.count((-1, 13)) == 1  # q**-1 mod p, once per key
+        powers = [mod for exp, mod in moduli if exp != -1]
+        assert sorted(powers) == [13] * len(self.VALUES) + [17] * len(self.VALUES)
+        moduli.clear()
+        sign(NumberMessage(self.VALUES, 221), key)
+        assert sorted(mod for _, mod in moduli) == [13] * len(self.VALUES) + [17] * len(self.VALUES)
+
+    @pytest.mark.parametrize("transform, key, k", [
+        (decrypt, PrivateKey(221, 53), 53), (encrypt, PublicKey(221, 29), 29),
+    ], ids=["n-f", "public"])
+    def test_other_keys_power_mod_n(self, moduli, transform, key, k):
+        got = transform(NumberMessage(self.VALUES, 221), key)
+        assert got.values == tuple(pow(v, k, 221) for v in self.VALUES)
+        assert moduli == [(k, 221)] * len(self.VALUES)
+
+    @pytest.mark.parametrize("transform, key", [
+        (decrypt, PrivateKey(221, 53, 13, 17)), (sign, PrivateKey(221, 53)), (verify, PublicKey(221, 29)),
+    ], ids=["n-f-p-q", "n-f", "public"])
+    def test_mismatch_raises_before_any_power(self, moduli, transform, key):
+        with pytest.raises(ModulusMismatchError):
+            transform(NumberMessage((1, 2), 22), key)
+        assert moduli == []
+
+
+class TestMessageValueTypes:
+    """A message value is an int and not a bool, the rule key fields follow; n stays check_modulus's."""
+
+    @pytest.mark.parametrize("values, pos", [((1.5,), 0), ((True,), 0), ((1, 2.0), 1), ((False, 1), 0)])
+    def test_float_and_bool_refused(self, values, pos):
+        with pytest.raises(TypeError) as exc:
+            NumberMessage(values, 221)
+        assert str(exc.value) == f"message value at position {pos} must be an int, got {values[pos]!r}"
+
+    def test_float_modulus_is_still_an_invalid_modulus(self):
+        with pytest.raises(InvalidModulusError):
+            NumberMessage((1,), 221.0)
+
+    def test_out_of_range_int_is_still_a_range_error(self):
+        with pytest.raises(MessageRangeError) as exc:
+            NumberMessage((1, 221, 2.5), 221)
+        assert exc.value.value == 221
+
+    def test_int_subclass_in_range_is_kept(self):
+        import enum
+
+        code = enum.IntEnum("Code", "A B")
+        assert NumberMessage((code.A, 2), 221).values == (1, 2)
