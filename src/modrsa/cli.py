@@ -5,9 +5,10 @@ primes, malformed key file, and so on), an unreadable standard input or
 an unwritable standard output.
 Output is deterministic: single values print as bare decimals, vectors
 as comma-separated values with no spaces, tables row-major with a header
-row. Message vectors are taken from an argument or, when omitted, one
-per line on standard input; stdin is processed line by line, so lines
-before a bad one are answered.
+row. A command holds at most one output line; gcd --extended passes over
+its table twice, for the column widths and then the rows. Message vectors
+come from an argument or, when omitted, one per line on standard input;
+stdin is processed line by line, so lines before a bad one are answered.
 
 With --text, stdin is decoded by wire token: a transformed text is a
 substitution over at most 27 tokens, so each distinct token is parsed,
@@ -92,13 +93,8 @@ def _csv(values) -> str:
     return ",".join(map(str, values))
 
 
-def _columns(rows, width=0):
-    """Yield rows of cells right-aligned, one space apart, with trailing blanks stripped.
-
-    Every column is `width` wide or, when width is 0, as wide as its widest
-    cell; rows must then be a list, since the widths are found first.
-    """
-    widths = repeat(width) if width else [max(map(len, column)) for column in zip(*rows)]
+def _columns(rows, widths):
+    """Yield each row's cells right-aligned to widths (a list or a repeat()), one space apart, rstripped."""
     for row in rows:
         yield " ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
 
@@ -139,12 +135,17 @@ def _cmd_gcd(args, stdin):
     if not args.extended:
         return [modmath.gcd(args.x, args.y)]
     cert, trace = modmath.extended_gcd(args.x, args.y)
-    # mirror the tabular layout: blank quotient on the first row, bare 0 last
-    rows = [("n", "q", "a", "b")]
-    for row in trace.rows:
-        q = "" if row.quotient is None else str(row.quotient)
-        rows.append(("0", "", "", "") if row.n == 0 else (str(row.n), q, str(row.a), str(row.b)))
-    return [f"gcd = {cert.g}", f"a = {cert.a}", f"b = {cert.b}", *_columns(rows)]
+
+    def table():  # the tabular layout: blank quotient on the first row, bare 0 last
+        yield "n", "q", "a", "b"
+        for row in modmath.euclid_rows(trace.x, trace.y):
+            q = "" if row.quotient is None else str(row.quotient)
+            yield ("0", "", "", "") if row.n == 0 else (str(row.n), q, str(row.a), str(row.b))
+
+    widths = [0] * 4  # a later row can be the widest, so a first pass over the table finds the widths
+    for cells in table():
+        widths = list(map(max, widths, map(len, cells)))
+    return chain([f"gcd = {cert.g}", f"a = {cert.a}", f"b = {cert.b}"], _columns(table(), widths))
 
 
 def _cmd_inverse(args, stdin):
@@ -156,7 +157,7 @@ def _cmd_table(args, stdin):
     n = modmath.check_modulus(args.n)
     header = ["x"] + [str(c) for c in range(1, n)]
     rows = ([str(i)] + [str(r.value) for r in modmath.mul_row(i, n)] for i in range(1, n))
-    return _columns(chain([header], rows), width=len(str(n - 1)))
+    return _columns(chain([header], rows), repeat(len(str(n - 1))))
 
 
 def _cmd_phi(args, stdin):

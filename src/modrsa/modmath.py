@@ -7,8 +7,9 @@ that, and nothing needs arbitrary precision.
 
 Where the standard library runs the same algorithm it does the work:
 three-argument pow is square-and-multiply, pow(x, -1, n) and math.gcd are
-Euclid. extended_gcd takes its certificate from them too, and runs the
-paper's Euclid loop only when its table is read. One trial-division
+Euclid. extended_gcd takes its certificate from them too. The paper's
+Euclid loop is the generator euclid_rows, one table row at a time, and
+EuclidTrace.rows is its tuple, built when first read. One trial-division
 factoriser, prime_factors, serves primality, square-freeness and phi.
 
 Every type in this module is an immutable value and every operation is a
@@ -238,32 +239,30 @@ is absent on the first row and on the terminal zero row.
 """
 
 
-def _euclid_rows(x: int, y: int) -> tuple[TraceRow, ...]:
-    """The paper's table for x >= y >= 1: rows (x, -, 1, 0) and (y, q, 0, 1),
-    then each row is row[i-2] - quotient[i-1] * row[i-1], columnwise."""
-    rows = [TraceRow(x, None, 1, 0)]
+def euclid_rows(x: int, y: int):
+    """Yield the paper's table for x >= y >= 1 one row at a time: rows (x, -, 1, 0)
+    and (y, q, 0, 1), then each row is row[i-2] - quotient[i-1] * row[i-1], columnwise."""
+    yield TraceRow(x, None, 1, 0)
     (n0, a0, b0), (n1, a1, b1) = (x, 1, 0), (y, 0, 1)
     while n1:
         q = n0 // n1
-        rows.append(TraceRow(n1, q, a1, b1))
+        yield TraceRow(n1, q, a1, b1)
         (n0, a0, b0), (n1, a1, b1) = (n1, a1, b1), (n0 - q * n1, a0 - q * a1, b0 - q * b1)
-    rows.append(TraceRow(0, None, a1, b1))
-    return tuple(rows)
+    yield TraceRow(0, None, a1, b1)
 
 
 class EuclidTrace(Value, namedtuple("EuclidTrace", "x y rows", defaults=(None,))):
-    """The full table produced by the extended Euclidean algorithm.
+    """The full table produced by the extended Euclidean algorithm, as euclid_rows yields it.
 
-    Row one is (x, -, 1, 0), row two (y, q, 0, 1); each later row is
-    row[i-2] - quotient[i-1] * row[i-1], columnwise. The n column strictly
-    decreases and ends at 0. Built from (x, y) alone, as extended_gcd
-    does, the trace runs that loop the first time its rows are read.
+    The n column strictly decreases and ends at 0. Built from (x, y)
+    alone, as extended_gcd does, the trace runs that loop the first time
+    its rows are read.
     """
 
     @cached_property
     def rows(self) -> tuple[TraceRow, ...]:
         rows = tuple.__getitem__(self, 2)  # the raw item, which this property shadows
-        return _euclid_rows(self.x, self.y) if rows is None else rows
+        return tuple(euclid_rows(self.x, self.y)) if rows is None else rows
 
 
 class BezoutCertificate(Value, namedtuple("BezoutCertificate", "g a b x y")):

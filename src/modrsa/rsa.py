@@ -16,7 +16,6 @@ desk-scale primes); the point is to make the number theory visible, not
 to protect data.
 """
 
-import bisect
 import itertools
 import math
 from collections import namedtuple
@@ -80,7 +79,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)
         segment = bytearray([1]) * size
-        for p in base[: bisect.bisect(base, math.isqrt(start + size - 1))]:
+        for p in base:
             # offset of the first multiple of p to cross off: p*p, or the first in the segment
             first = p * p - start if p * p > start else -start % p
             if first < size:
@@ -248,12 +247,12 @@ def keygen(p: int, q: int, e: int) -> RsaKeyPair:
     fault in p or q is always the one reported.
     """
     phi = (p - 1) * (q - 1)
-    if p * q > modmath.MAX_MODULUS or not 1 < e < phi or modmath.gcd(e, phi) != 1:
-        phi_semiprime(p, q)
+    if p * q > modmath.MAX_MODULUS or not 1 < e < phi or (g := math.gcd(e, phi)) != 1:
+        phi_semiprime(p, q)  # raises if p * q is over the cap, so g is set once e is in range
         if not 1 < e < phi:
             raise ExponentOutOfRangeError(e, phi)
-        raise ExponentNotUnitError(e, phi, modmath.gcd(e, phi))
-    f = modmath.inverse(modmath.reduce(e, phi)).value
+        raise ExponentNotUnitError(e, phi, g)
+    f = pow(e, -1, phi)
     return RsaKeyPair(p=p, q=q, n=p * q, phi=phi, e=e, f=f)
 
 

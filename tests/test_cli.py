@@ -13,7 +13,7 @@ import pytest
 
 import modrsa
 from cli_cases import CASE_MAPPED_TO_ASCII, GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
-from modrsa import cli
+from modrsa import cli, modmath
 from modrsa.keyfile import read_key_file
 from modrsa.modmath import Residue
 from modrsa.rsa import (
@@ -815,14 +815,25 @@ class TestOneOutputPath:
         assert {name: ["args", "stdin"] for name in handlers} == handlers
 
 
-# Runs `python -m modrsa` with its address space capped at 256 MiB.
-_CAPPED = """
+def _capped(mib):
+    """A script that runs `python -m modrsa` with its address space capped at mib MiB."""
+    return f"""
 import resource, runpy, sys
-limit = 256 * 2**20
+limit = {mib} * 2**20
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
 runpy.run_module("modrsa", run_name="__main__", alter_sys=True)
 """
+
+
+def _run_capped(mib, argv, **kwargs):
+    pytest.importorskip("resource")
+    src = str(Path(modrsa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _capped(mib), *argv], text=True, env=env, **kwargs)
+
+
+_CAPPED = _capped(256)
 
 
 class TestCheckBound:
@@ -843,3 +854,42 @@ class TestCheckBound:
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
         assert proc.stderr.startswith(f"error: --check runs at most {cli.CHECK_STEPS} oracle steps")
         assert cli.CHECK_STEPS == 10**7
+
+
+def _list_mode_layout(x, y):
+    """gcd --extended as it was laid out from the whole table: each column as wide as its widest cell."""
+    cert, trace = modmath.extended_gcd(x, y)
+    rows = [("n", "q", "a", "b")]
+    for row in trace.rows:
+        q = "" if row.quotient is None else str(row.quotient)
+        rows.append(("0", "", "", "") if row.n == 0 else (str(row.n), q, str(row.a), str(row.b)))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    table = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return "".join(f"{line}\n" for line in [f"gcd = {cert.g}", f"a = {cert.a}", f"b = {cert.b}", *table])
+
+
+class TestStreamedEuclidTable:
+    """gcd --extended passes over the Euclid table twice and holds one row at a time."""
+
+    @pytest.mark.parametrize("x, y", [
+        (1000, 999), (999, 1000), (1466, 237), (237, 1466), (1113, 504), (7, 7), (1, 1), (89, 55), (10**12, 3),
+    ])
+    def test_layout_matches_the_whole_table(self, x, y):
+        # in (1000, 999) and (1466, 237) a later quotient or coefficient is wider than every earlier one
+        assert run_cli(["gcd", "--extended", str(x), str(y)]) == (0, _list_mode_layout(x, y), "")
+
+    def test_random_pairs(self):
+        rng = random.Random(1466)
+        for _ in range(200):
+            x, y = rng.randrange(1, 10**rng.randrange(1, 30)), rng.randrange(1, 10**6)
+            assert run_cli(["gcd", "--extended", str(x), str(y)]) == (0, _list_mode_layout(x, y), ""), (x, y)
+
+    def test_long_table_in_bounded_memory(self):
+        # Fibonacci neighbours of 1500 digits: 7179 output lines, 32 MB
+        a, b = 1, 1
+        while b < 10**1499:
+            a, b = b, a + b
+        proc = _run_capped(
+            48, ["gcd", "--extended", str(b), str(a)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")

@@ -72,6 +72,12 @@ class TestResidue:
         assert res(2, 5) == res(2, 5)
         assert res(2, 5) != res(2, 7)
 
+    def test_residue_operand_is_taken_as_it_is(self):
+        # a Residue on the right is not reduced again, so a foreign modulus is refused, not wrapped
+        assert res(2, 5) + res(4, 5) == res(1, 5)
+        with pytest.raises(ModulusMismatchError):
+            res(2, 5) + res(4, 7)
+
 
 class TestReduce:
     def test_paper_reduction(self):
@@ -235,6 +241,19 @@ class TestBezoutCertificate:
     def test_trace_is_built_from_the_inputs_alone(self):
         _, trace = extended_gcd(1466, 237)
         assert trace == EuclidTrace(1466, 237) == EuclidTrace(1466, 237, trace.rows)
+
+
+class TestEuclidRows:
+    def test_trace_rows_are_the_generator_in_full(self):
+        for x in range(1, 120):
+            for y in range(1, x + 1):
+                assert tuple(modmath.euclid_rows(x, y)) == extended_gcd(x, y)[1].rows, (x, y)
+
+    def test_rows_come_one_at_a_time(self):
+        rows = modmath.euclid_rows(1466, 237)
+        assert next(rows) == (1466, None, 1, 0)
+        assert next(rows) == (237, 6, 0, 1)
+        assert next(rows) == (44, 5, 1, -6)
 
 
 class TestInverse:
@@ -427,6 +446,11 @@ class TestSharedFactoriser:
         for n in range(2, 10_001):
             brute = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
             assert is_square_free(n) is brute, n
+
+    def test_below_one_is_refused(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                list(modmath.prime_factors(n))
 
     def test_inverse_of_a_factor_carries_it_as_gcd(self):
         with pytest.raises(NotAUnitError) as exc:
