@@ -4,10 +4,12 @@ Everything that reflects bad mathematical input (as opposed to a
 programming mistake) derives from DomainError, so callers such as the
 CLI can map the whole family to one exit code. A subclass names its
 witnesses in `fields` and words its message in `template`, a str.format
-string over them; the one constructor takes the witnesses positionally,
-stores each as an attribute and formats the message. A class without
-fields takes the message itself.
+string over them. The witnesses are the error's args and attributes; the
+message is rendered when shown, with an int past the interpreter's digit
+limit as its digit count. A class without fields takes the message itself.
 """
+
+import math
 
 
 class DomainError(Exception):
@@ -18,12 +20,20 @@ class DomainError(Exception):
     def __init__(self, *args):
         if self.fields:
             vars(self).update(zip(self.fields, args, strict=True))
-            args = (self.template.format_map(vars(self)),)
         super().__init__(*args)
 
-    def __reduce__(self):
-        # rebuild from the witnesses, which the constructor takes, not the message in args
-        return type(self), tuple(getattr(self, name) for name in self.fields) or self.args
+    def __str__(self):
+        shown = {name: _shown(getattr(self, name)) for name in self.fields}
+        return self.template.format_map(shown) if self.fields else super().__str__()
+
+
+def _shown(witness):
+    """An int witness as str() gives it; past the digit limit, its exact digit count instead."""
+    try:
+        return str(witness) if isinstance(witness, int) else witness
+    except ValueError:  # past sys.get_int_max_str_digits(), which is left as it is
+        digits = int((abs(witness).bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bits - 1)
+        return f"<an integer of {digits + (abs(witness) >= 10**digits)} digits>"
 
 
 class InvalidModulusError(DomainError):

@@ -28,12 +28,10 @@ def write_key_file(path, key) -> None:
     """
     import tempfile  # here, not at the top, so only commands that write keys pay for its import
 
-    for kind, key_type in _SCHEMA.items():
-        if isinstance(key, key_type):
-            break
-    else:
+    kind = next((kind for kind, key_type in _SCHEMA.items() if isinstance(key, key_type)), None)
+    if kind is None:
         raise TypeError(f"expected PublicKey or PrivateKey, got {type(key).__name__}")
-    pairs = [("kind", kind)] + [(name, getattr(key, name)) for name in key_type._fields]
+    pairs = [("kind", kind)] + [(name, getattr(key, name)) for name in key._fields]
     text = "".join(f"{k} = {v}\n" for k, v in pairs if v is not None)
     try:
         directory, name = os.path.split(path)
@@ -60,17 +58,13 @@ def read_key_file(path, kind=None):
     """
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
-            raw = fh.read()
+            *lines, last = fh.read().split("\n")
     except UnicodeDecodeError:
         raise KeyFileError(f"{path}: not 7-bit text") from None
     except OSError as exc:
         raise KeyFileError(f"{path}: cannot read key file ({exc.strerror})") from None
-
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    elif lines:
-        raise KeyFileError(f"{path}: line {len(lines)}: missing newline terminator")
+    if last:
+        raise KeyFileError(f"{path}: line {len(lines) + 1}: missing newline terminator")
 
     entries = []
     for lineno, line in enumerate(lines, start=1):
@@ -82,15 +76,11 @@ def read_key_file(path, kind=None):
     # names[pos] is the next field; the kind line extends names by its key type's fields
     names, required, pos, fields = ("kind",), 1, 0, {}
     for lineno, key, value in entries:
-        if pos < required:
-            if key != names[pos]:
-                raise KeyFileError(f"{path}: line {lineno}: expected field '{names[pos]}', found '{key}'")
-        else:
-            while pos < len(names) and names[pos] != key:
-                pos += 1
-            if pos == len(names):
-                raise KeyFileError(f"{path}: line {lineno}: unexpected key '{key}'")
-        pos += 1
+        if pos < required and key != names[pos]:
+            raise KeyFileError(f"{path}: line {lineno}: expected field '{names[pos]}', found '{key}'")
+        if key not in names[pos:]:
+            raise KeyFileError(f"{path}: line {lineno}: unexpected key '{key}'")
+        pos = names.index(key, pos) + 1
         if key == "kind":
             if value not in _SCHEMA:
                 raise KeyFileError(f"{path}: line {lineno}: unknown kind '{value}'")

@@ -893,3 +893,26 @@ class TestStreamedEuclidTable:
             48, ["gcd", "--extended", str(b), str(a)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60
         )
         assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _consecutive_fibonacci(digits):
+    """The Fibonacci numbers of digits - 1 and digits decimal digits, in that order."""
+    a, b = 0, 1
+    while b < 10 ** (digits - 1):
+        a, b = b, a + b
+    return a, b
+
+
+class TestDigitLimitWitness:
+    """A modulus p*q past the interpreter's digit limit for str() is still a typed InvalidModulusError."""
+
+    P, Q = (str(f) for f in _consecutive_fibonacci(4290))
+    MESSAGE = "error: invalid modulus <an integer of 8579 digits>: need an integer with 2 <= n <= 2**31 - 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["crt", "5", P, Q],
+        ["phi", "--semiprime", P, Q],
+        ["keygen", "--p", P, "--q", Q, "--e", "3"],
+    ], ids=["crt", "phi-semiprime", "keygen"])
+    def test_huge_product_is_an_invalid_modulus(self, argv):
+        assert run_cli(argv) == (2, "", self.MESSAGE)

@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import pytest
 
@@ -71,3 +72,24 @@ def test_plain_errors_survive_pickling(cls):
 def test_cases_cover_every_error_class():
     covered = {case[0] for case in WITNESS_CASES} | {errors.UndefinedGcdError, errors.KeyFileError}
     assert covered == set(errors.DomainError.__subclasses__())
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("cls, witnesses, message", WITNESS_CASES, ids=[c[0].__name__ for c in WITNESS_CASES])
+def test_witnesses_past_the_digit_limit_render_as_a_digit_count(cls, witnesses, message, sign):
+    huge = {name: sign * 10**5000 if isinstance(value, int) else value for name, value in witnesses.items()}
+    err = cls(*huge.values())
+    assert "<an integer of 5001 digits>" in str(err)
+    twin = pickle.loads(pickle.dumps(err))
+    assert type(twin) is cls
+    assert twin.args == err.args == tuple(huge.values())
+    assert {name: getattr(twin, name) for name in twin.fields} == huge
+    assert str(twin) == str(err)
+
+
+@pytest.mark.parametrize("digits", [1, 4299, 4300, 4301, 4302, 5000])
+def test_digit_count_is_exact_on_both_sides_of_a_power_of_ten(digits):
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    for n in (10 ** (digits - 1), 10**digits - 1):
+        expected = f"<an integer of {digits} digits>" if 0 < limit < digits else str(n)
+        assert str(errors.NotSquareFreeError(n)) == f"{expected} is not square-free"

@@ -264,3 +264,21 @@ def test_lines_follow_the_key_types_fields(tmp_path, key):
     write_key_file(path, key)
     names = [line.split(" = ")[0] for line in path.read_text(encoding="ascii").splitlines()]
     assert names == ["kind"] + [name for name in type(key)._fields if getattr(key, name) is not None]
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "line 1: missing field 'kind'"),
+    (b"\n", "line 1: malformed line (expected 'key = value')"),
+    (b"kind = public\nkind = public\n", "line 2: expected field 'n', found 'kind'"),
+    # a malformed line is found before an earlier ordering fault
+    (b"kind = public\ne = 29\nn = 221\nx=1\n", "line 4: malformed line (expected 'key = value')"),
+    (b"kind = public\nn = 221\ne = 29\n\n", "line 4: malformed line (expected 'key = value')"),
+    (b"kind = private\nn = 221\n", "line 3: missing field 'f'"),
+    (b"n = 221\n", "line 1: expected field 'kind', found 'n'"),
+])
+def test_exact_key_file_messages(tmp_path, content, message):
+    path = tmp_path / "key.txt"
+    path.write_bytes(content)
+    with pytest.raises(KeyFileError) as exc:
+        read_key_file(path)
+    assert str(exc.value) == f"{path}: {message}"
