@@ -5,10 +5,11 @@ primes, malformed key file, and so on), an unreadable standard input or
 an unwritable standard output.
 Output is deterministic: single values print as bare decimals, vectors
 as comma-separated values with no spaces, tables row-major with a header
-row. A command holds at most one output line; gcd --extended passes over
-its table twice, for the column widths and then the rows. Message vectors
-come from an argument or, when omitted, one per line on standard input;
-stdin is processed line by line, so lines before a bad one are answered.
+row. A command holds at most one output line, of at most MAX_LINE
+characters; gcd --extended passes over its table twice, for the column
+widths and then the rows. Message vectors come from an argument or, when
+omitted, one per line on standard input; stdin is processed line by line,
+so lines before a bad one are answered.
 
 With --text, stdin is decoded by wire token: a transformed text is a
 substitution over at most 27 tokens, so each distinct token is parsed,
@@ -100,6 +101,13 @@ def _columns(rows, widths):
 
 
 CHECK_STEPS = 10**7  # the most naive oracle steps --check may take: 1.4-2.5 s on a 2-vCPU guest
+MAX_LINE = 2**22  # the longest output line a command may build, in characters
+
+
+def _bound_line(args, chars):
+    """Refuse, as a usage error before any output, a command whose line could hold more than MAX_LINE characters."""
+    if chars > MAX_LINE:
+        args.parser.error(f"an output line holds at most MAX_LINE = {MAX_LINE} characters; this one could be longer")
 
 
 def _checked(args, result, steps, mirror, *mirror_args):
@@ -155,9 +163,11 @@ def _cmd_inverse(args, stdin):
 
 def _cmd_table(args, stdin):
     n = modmath.check_modulus(args.n)
+    width = len(str(n - 1))
+    _bound_line(args, n * (width + 1))  # n cells of width characters and a space each
     header = ["x"] + [str(c) for c in range(1, n)]
     rows = ([str(i)] + [str(r.value) for r in modmath.mul_row(i, n)] for i in range(1, n))
-    return _columns(chain([header], rows), repeat(len(str(n - 1))))
+    return _columns(chain([header], rows), repeat(width))
 
 
 def _cmd_phi(args, stdin):
@@ -182,8 +192,10 @@ def _cmd_powmod(args, stdin):
 
 
 def _cmd_critical(args, stdin):
-    phi = modmath.phi(args.n)
-    return [_csv(modmath.critical_exponents(args.n, phi, args.count))]
+    phi, count = modmath.phi(args.n), args.count
+    # count numbers and their commas; a count past MAX_LINE // 2 is refused before str() sees one of its size
+    _bound_line(args, 2 * count if count > MAX_LINE // 2 else count * (len(str(1 + (count - 1) * phi)) + 1))
+    return [_csv(modmath.critical_exponents(args.n, phi, count))]
 
 
 def _cmd_classify(args, stdin):
@@ -275,7 +287,10 @@ def _cmd_power(args, stdin):
 def _cmd_suggest_primes(args, stdin):
     from . import rsa
 
-    return [_csv(rsa.primes_in_range(args.lo, args.hi))]
+    lo, hi = args.lo, args.hi
+    if hi <= modmath.MAX_MODULUS:  # above it, primes_in_range refuses hi itself
+        _bound_line(args, ((hi - max(lo, 2)) // 2 + 1) * (len(str(hi)) + 1))  # 2 and the odd numbers, at most
+    return [_csv(rsa.primes_in_range(lo, hi))]
 
 
 # --- parser -----------------------------------------------------------------

@@ -48,9 +48,10 @@ def _unsupported(self, *args, **kwargs):
 class Value:
     """Base of the value types, listed before a namedtuple of the fields: Modulus(Value, namedtuple(...)).
 
-    The namedtuple gives the fields, their defaults and the constructor;
-    Value's __new__ then calls __post_init__, where a class validates. A
-    value equals only its own class, over the fields, as hash and repr go.
+    The namedtuple's __new__ builds it from the fields and their defaults,
+    then Value's __init__ calls __post_init__, where a class validates;
+    _new skips both, the one unvalidated path. A value equals only its
+    own class, over the fields, as hash and repr go.
     It is not a sequence: ordering, arithmetic, indexing, len, iteration,
     membership, count, index, _make and _replace raise TypeError, and bool
     is True.
@@ -65,10 +66,8 @@ class Value:
         super().__init_subclass__()
         cls._key = attrgetter(*cls._fields)  # what equality and hashing compare
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __init__(self, *args, **kwargs):
         self.__post_init__()
-        return self
 
     def __post_init__(self):
         pass
@@ -101,6 +100,17 @@ class Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _not_int(value) -> bool:
+    # the rule for exponents, factors, message values and number-theory arguments: an int, and not a bool
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
+def _check_int(name, value) -> None:
+    # a float or other non-int argument is a programming mistake, not bad input
+    if _not_int(value):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def check_modulus(n) -> int:
@@ -242,6 +252,8 @@ is absent on the first row and on the terminal zero row.
 def euclid_rows(x: int, y: int):
     """Yield the paper's table for x >= y >= 1 one row at a time: rows (x, -, 1, 0)
     and (y, q, 0, 1), then each row is row[i-2] - quotient[i-1] * row[i-1], columnwise."""
+    _check_int("x", x)
+    _check_int("y", y)
     yield TraceRow(x, None, 1, 0)
     (n0, a0, b0), (n1, a1, b1) = (x, 1, 0), (y, 0, 1)
     while n1:
@@ -353,6 +365,7 @@ def prime_factors(n: int):
     Trial division by 2 and then by the odd numbers up to the square root
     of what is left; a generator, so a caller can stop at the first factor.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError("prime factors are defined for n >= 1")
     for d in itertools.chain((2,), itertools.count(3, 2)):
@@ -388,6 +401,8 @@ def critical_exponents(n: int, phi: int, count: int) -> list[int]:
     provided n is square-free; non-square-free n is rejected. phi is taken
     as an argument so the caller chooses how it was obtained.
     """
+    _check_int("phi", phi)
+    _check_int("count", count)
     if not is_square_free(n):
         raise NotSquareFreeError(n)
     if phi < 1:

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedCharacterError,
     ValueOutOfAlphabetError,
 )
-from .modmath import Value as _Value
+from .modmath import Value as _Value, _not_int
 
 # A = 1, B = 2, ..., Z = 26, space = 27.
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
@@ -100,11 +100,6 @@ def phi_semiprime(p: int, q: int) -> int:
     if p == q:
         raise EqualPrimesError(p)
     return (p - 1) * (q - 1)
-
-
-def _not_int(value) -> bool:
-    # the rule for exponents, factors and message values: an int, and not a bool
-    return isinstance(value, bool) or not isinstance(value, int)
 
 
 def _check_ints(key) -> None:
@@ -207,9 +202,7 @@ class NumberMessage(_Value, namedtuple("NumberMessage", "values n")):
     __slots__ = ()
 
     def __new__(cls, values, n):
-        self = tuple.__new__(cls, (tuple(values), n))
-        self.__post_init__()
-        return self
+        return tuple.__new__(cls, (tuple(values), n))
 
     def __post_init__(self):
         n = modmath.check_modulus(self.n)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from modrsa.rsa import (
     decrypt,
     encode_text,
     keygen,
+    primes_in_range,
     sign,
     verify,
 )
@@ -97,6 +99,10 @@ class TestExitCodes:
         code, _, err = run_cli(["reduce", "5"])
         assert code == 1
         assert "usage: modrsa reduce" in err
+
+    def test_crt_factor_below_two_message(self):
+        # x = 0 reduces mod p*q = 5, so only crt_decompose's own guard can name p
+        assert run_cli(["crt", "0", "1", "5"]) == (2, "", "error: p and q must both be >= 2\n")
 
     def test_not_a_unit_message(self):
         code, out, err = run_cli(["inverse", "4", "6"])
@@ -826,11 +832,14 @@ runpy.run_module("modrsa", run_name="__main__", alter_sys=True)
 """
 
 
+def _child_env():
+    src = str(Path(modrsa.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_capped(mib, argv, **kwargs):
     pytest.importorskip("resource")
-    src = str(Path(modrsa.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", _capped(mib), *argv], text=True, env=env, **kwargs)
+    return subprocess.run([sys.executable, "-c", _capped(mib), *argv], text=True, env=_child_env(), **kwargs)
 
 
 _CAPPED = _capped(256)
@@ -854,6 +863,66 @@ class TestCheckBound:
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
         assert proc.stderr.startswith(f"error: --check runs at most {cli.CHECK_STEPS} oracle steps")
         assert cli.CHECK_STEPS == 10**7
+
+
+class TestLineBound:
+    """table, critical and suggest-primes refuse a line longer than cli.MAX_LINE before any output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "6", "1000000000"],
+        ["critical", "6", "9" * 4300],
+        ["critical", "8", "1000000000"],
+        ["critical", "2", "599187"],
+        ["table", "2147483647"],
+        ["table", "599187"],
+        ["suggest-primes", "0", "2147483647"],
+        ["suggest-primes", "2146721047", "2147483647"],
+    ], ids=["critical", "critical-4300-digits", "critical-not-square-free", "critical-just-over",
+            "table", "table-just-over", "suggest-primes", "suggest-primes-just-over"])
+    def test_a_longer_line_is_a_usage_error(self, argv):
+        # each used to end in a MemoryError traceback, or to write nothing for seconds
+        proc = _run_capped(256, argv, capture_output=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith(f"error: an output line holds at most MAX_LINE = {cli.MAX_LINE} characters")
+        assert "Traceback" not in proc.stderr
+        assert cli.MAX_LINE == 2**22
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "2147483648"], "error: invalid modulus 2147483648"),
+        (["critical", "1", "1000000000"], "error: invalid modulus 1"),
+        (["suggest-primes", "0", "2147483648"], "error: primes are searched up to 2**31 - 1"),
+    ], ids=["table", "critical", "suggest-primes"])
+    def test_domain_errors_before_the_bound_keep_their_place(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "") and err.startswith(message)
+
+    def test_the_longest_critical_line_fits(self):
+        proc = _run_capped(256, ["critical", "2", "599186"], capture_output=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ",".join(map(str, range(1, 599187))) + "\n"
+
+    def test_the_longest_suggest_primes_line_fits(self):
+        lo, hi = 2146721048, modmath.MAX_MODULUS
+        proc = _run_capped(256, ["suggest-primes", str(lo), str(hi)], capture_output=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ",".join(map(str, primes_in_range(lo, hi))) + "\n"
+
+    def test_the_longest_table_lines_fit(self):
+        # table 599186: the header and each row are 599186 cells of six characters and a space
+        pytest.importorskip("resource")
+        proc = subprocess.Popen([sys.executable, "-c", _CAPPED, "table", "599186"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            header, row = proc.stdout.readline(), proc.stdout.readline()
+        finally:
+            watchdog.cancel()
+            proc.kill()
+        _, err = proc.communicate()
+        assert err == ""
+        assert len(header) == len(row) == 599186 * 7
+        assert (header[:6], row[:6], row[6:]) == ("     x", "     1", header[6:])
 
 
 def _list_mode_layout(x, y):

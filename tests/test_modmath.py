@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from modrsa import modmath, oracle
+from modrsa import modmath, oracle, rsa
 from modrsa.errors import (
     InvalidModulusError,
     ModulusMismatchError,
@@ -389,6 +389,11 @@ class TestCrtDecompose:
         with pytest.raises(ValueError):
             crt_decompose(res(3, 9), 3, 3)
 
+    def test_factor_below_two_rejected_before_reducing(self):
+        # without the guard, reducing x mod p = 1 would fail later, as InvalidModulusError(1)
+        with pytest.raises(ValueError, match=r"^p and q must both be >= 2$"):
+            crt_decompose(res(0, 5), 1, 5)
+
 
 class TestCrtCompose:
     @pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (3, 5), (5, 3), (2, 11), (13, 17), (17, 13)])
@@ -456,3 +461,19 @@ class TestSharedFactoriser:
         with pytest.raises(NotAUnitError) as exc:
             inverse(res(46337, 46337 * 46327))
         assert exc.value.gcd == 46337
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(modmath.prime_factors(10.0)), "n must be an int, got 10.0"),
+    (lambda: rsa.is_prime(7.0), "n must be an int, got 7.0"),
+    (lambda: rsa.phi_semiprime(13.0, 17), "n must be an int, got 13.0"),
+    (lambda: critical_exponents(10, 4.0, 3), "phi must be an int, got 4.0"),
+    (lambda: critical_exponents(10, 4, 3.0), "count must be an int, got 3.0"),
+    (lambda: list(modmath.euclid_rows(5.0, 3)), "x must be an int, got 5.0"),
+    (lambda: list(modmath.euclid_rows(5, 3.0)), "y must be an int, got 3.0"),
+], ids=["prime_factors", "is_prime", "phi_semiprime", "critical-phi", "critical-count", "euclid-x", "euclid-y"])
+def test_float_arguments_are_refused(call, message):
+    # each used to answer in floats, such as [2, 5.0] for prime_factors(10.0)
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message

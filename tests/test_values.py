@@ -1,5 +1,6 @@
 """Contracts of the value types, the prime sieve and the import budget."""
 
+import ast
 import copy
 import os
 import pickle
@@ -376,3 +377,52 @@ class TestNamedTupleBase:
     def test_no_module_executes_generated_code(self):
         sources = Path(modrsa.__file__).parent.glob("*.py")
         assert [path.name for path in sources if "exec(" in path.read_text() or "eval(" in path.read_text()] == []
+
+
+def _count_hook(monkeypatch, cls):
+    """Wrap cls.__post_init__ so that each call is recorded; returns the list of calls."""
+    calls, hook = [], cls.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        hook(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+class TestOneValidationHook:
+    """Value.__init__ runs __post_init__ once for every way a value is built; no __new__ runs it."""
+
+    def test_init_is_the_only_caller_of_the_hook(self):
+        trees = [ast.parse(path.read_text()) for path in Path(modrsa.__file__).parent.glob("*.py")]
+        value = next(
+            node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "Value"
+        )
+        methods = {node.name for node in value.body if isinstance(node, ast.FunctionDef)}
+        assert "__init__" in methods and "__new__" not in methods
+        hooked = [
+            node.lineno for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "__new__"
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "__post_init__" for sub in ast.walk(node))
+        ]
+        assert hooked == []
+
+    @pytest.mark.parametrize("value, other, text, name", VALUES, ids=IDS)
+    def test_class_copy_and_pickle_each_validate_once(self, monkeypatch, value, other, text, name):
+        cls, data = type(value), pickle.dumps(value)
+        fields = [getattr(value, field) for field in value._fields]
+        calls = _count_hook(monkeypatch, cls)
+        for how, build in (("class", lambda: cls(*fields)), ("copy", lambda: copy.copy(value)),
+                           ("pickle", lambda: pickle.loads(data))):
+            calls.clear()
+            assert build() == value
+            assert len(calls) == 1, how
+
+    @pytest.mark.parametrize("source", [
+        lambda: [3, 1, 2], lambda: {3, 1, 2}, lambda: map(int, "312"),
+    ], ids=["list", "set", "map"])
+    def test_message_from_any_iterable_validates_once(self, monkeypatch, source):
+        calls = _count_hook(monkeypatch, NumberMessage)
+        msg = NumberMessage(source(), 221)
+        assert msg.values == tuple(source()) and len(calls) == 1
