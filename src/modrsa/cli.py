@@ -165,8 +165,9 @@ def _cmd_table(args, stdin):
     n = modmath.check_modulus(args.n)
     width = len(str(n - 1))
     _bound_line(args, n * (width + 1))  # n cells of width characters and a space each
-    header = ["x"] + [str(c) for c in range(1, n)]
-    rows = ([str(i)] + [str(r.value) for r in modmath.mul_row(i, n)] for i in range(1, n))
+    header = chain(["x"], map(str, range(1, n)))
+    # cells from plain ints: one Residue per cell would take several times the memory
+    rows = ([str(i)] + [str(i * j % n) for j in range(1, n)] for i in range(1, n))
     return _columns(chain([header], rows), repeat(width))
 
 

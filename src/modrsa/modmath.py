@@ -37,7 +37,9 @@ from .errors import (
 
 MAX_MODULUS = 2**31 - 1
 
-_new = tuple.__new__  # a value from its fields, unvalidated: for fields right by construction
+# a value from its fields, unvalidated: for fields right by construction, such as
+# extended_gcd's certificate or the residues rsa.transform and rsa.decode_stream derive
+_new = tuple.__new__
 
 
 def _unsupported(self, *args, **kwargs):
@@ -389,6 +391,7 @@ def phi(n) -> int:
 
 def is_square_free(n: int) -> bool:
     """True when no squared prime divides n, i.e. no prime factor repeats."""
+    _check_int("n", n)
     if n < 2:
         raise ValueError("square-freeness is defined for n >= 2")
     return all(p != q for p, q in itertools.pairwise(prime_factors(n)))

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedCharacterError,
     ValueOutOfAlphabetError,
 )
-from .modmath import Value as _Value, _not_int
+from .modmath import Value as _Value, _new, _not_int
 
 # A = 1, B = 2, ..., Z = 26, space = 27.
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
@@ -54,6 +54,7 @@ def is_prime(n: int) -> bool:
 
     Trial division stops at the first factor, so composites are cheap.
     """
+    modmath._check_int("n", n)
     return n >= 2 and next(modmath.prime_factors(n)) == n
 
 
@@ -197,7 +198,12 @@ class RsaKeyPair(_Value, namedtuple("RsaKeyPair", "p q n phi e f")):
 
 
 class NumberMessage(_Value, namedtuple("NumberMessage", "values n")):
-    """Residues modulo n, the wire form of every message; len, iteration, in and truth go by its values."""
+    """Residues modulo n, the wire form of every message; len, iteration, in and truth go by its values.
+
+    Validated once, where its values enter (an argument, a stdin line,
+    encode_text, a library caller); the messages transform and decode_stream
+    derive hold residues by construction and are built through modmath._new.
+    """
 
     __slots__ = ()
 
@@ -206,14 +212,11 @@ class NumberMessage(_Value, namedtuple("NumberMessage", "values n")):
 
     def __post_init__(self):
         n = modmath.check_modulus(self.n)
-        for v in self.values:
-            if type(v) is not int or not 0 <= v < n:  # one cheap test per value; the first fault is named below
-                for pos, v in enumerate(self.values):
-                    if _not_int(v):
-                        raise TypeError(f"message value at position {pos} must be an int, got {v!r}")
-                    if not 0 <= v < n:
-                        raise MessageRangeError(v, n)
-                return  # ints in range, some of an int subclass such as IntEnum
+        for pos, v in enumerate(self.values):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"message value at position {pos} must be an int, got {v!r}")
+            if not 0 <= v < n:
+                raise MessageRangeError(v, n)
 
     def __iter__(self):
         return iter(self.values)
@@ -289,24 +292,29 @@ def decode_stream(messages, transform, key):
     letter code, and at most len(ALPHABET) of them: every valid value when
     the key's map is one-to-one. A key whose map is not (a public key from
     a file need not be) has its further values powered again on each line
-    that holds them. Errors are those of transform and decode_text.
+    that holds them. The sub-message of unseen values and the message of
+    powers hold residues by construction and are built through modmath._new.
+    Errors are those of transform and decode_text.
     """
     table = {}  # value -> its power, a letter code
     for msg in messages:
         missing = set(msg.values).difference(table)
-        powers = dict(zip(missing, transform(NumberMessage(missing, msg.n), key)))
+        powers = dict(zip(missing, transform(_new(NumberMessage, (tuple(missing), msg.n)), key)))
         for v, code in powers.items():
             if code in _LETTER and len(table) < len(ALPHABET):
                 table[v] = code
         powers.update(table)
-        yield decode_text(NumberMessage(map(powers.__getitem__, msg.values), msg.n))
+        yield decode_text(_new(NumberMessage, (tuple(map(powers.__getitem__, msg.values)), msg.n)))
 
 
 def transform(msg: NumberMessage, key) -> NumberMessage:
-    """Raise each message value to the key's exponent mod n: e for a PublicKey, f for a PrivateKey."""
+    """Raise each message value to the key's exponent mod n: e for a PublicKey, f for a PrivateKey.
+
+    The result is built unvalidated, through modmath._new: each power is a residue mod n by construction.
+    """
     if msg.n != key.n:
         raise ModulusMismatchError(msg.n, key.n)
-    return NumberMessage(key._powers(msg.values), key.n)
+    return _new(NumberMessage, (tuple(key._powers(msg.values)), key.n))
 
 
 # The four operations are the one map, and the key picks the exponent:

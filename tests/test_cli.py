@@ -543,6 +543,50 @@ class TestStdinTokenTable:
         assert sum(msg.values in lines for msg in built) <= len(ALPHABET)
 
 
+class TestOneValidationPerLine:
+    """A stdin message is validated once, as its line is parsed; the messages transform derives are not."""
+
+    @pytest.fixture
+    def hooks(self, monkeypatch):
+        built = []
+        post_init = NumberMessage.__post_init__
+
+        def counting_post_init(msg):
+            built.append(msg)
+            post_init(msg)
+
+        monkeypatch.setattr(NumberMessage, "__post_init__", counting_post_init)
+        return built
+
+    def test_a_decrypt_stream_runs_one_hook_per_line(self, keys, hooks):
+        rng = random.Random(1500)
+        lines = [[rng.randrange(221) for _ in range(10)] for _ in range(1500)]
+        stdin = "".join(",".join(map(str, values)) + "\n" for values in lines)
+        code, out, err = run_cli(["decrypt", "--key", keys["priv221"]], stdin_text=stdin)
+        assert (code, err) == (0, "")
+        assert out == "".join(",".join(str(pow(v, 53, 221)) for v in values) + "\n" for values in lines)
+        assert [msg.values for msg in hooks] == [tuple(values) for values in lines]  # not transform's results
+
+    def test_a_verify_text_stream_runs_one_hook_per_parsed_line(self, keys, hooks, monkeypatch):
+        pair = keygen(13, 17, 29)
+        rng = random.Random(24)
+        texts = ["".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 41))) for _ in range(300)]
+        signed = "".join(",".join(map(str, sign(encode_text(t, pair.n), pair.private_key))) + "\n" for t in texts)
+        hooks.clear()  # encode_text and sign above are not the stream's
+        parsed = []
+        stdin_vector = cli._stdin_vector
+
+        def parsing(lineno, line):
+            parsed.append(stdin_vector(lineno, line))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "_stdin_vector", parsing)
+        code, out, err = run_cli(["verify", "--key", keys["pub221"], "--text"], stdin_text=signed)
+        assert (code, out, err) == (0, "".join(text + "\n" for text in texts), "")
+        assert 0 < len(parsed) < len(texts)
+        assert [msg.values for msg in hooks] == parsed
+
+
 class _ClosedAfterFirstLine(io.StringIO):
     """A stdout whose reader goes away once the first line is written."""
 
@@ -935,6 +979,24 @@ def _list_mode_layout(x, y):
     widths = [max(map(len, column)) for column in zip(*rows)]
     table = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "".join(f"{line}\n" for line in [f"gcd = {cert.g}", f"a = {cert.a}", f"b = {cert.b}", *table])
+
+
+def test_the_longest_table_lines_fit_in_96_mib():
+    # these two lines need about 80 MiB; a header list, or a row of mul_row's Residues, needs 128
+    pytest.importorskip("resource")
+    proc = subprocess.Popen([sys.executable, "-c", _capped(96), "table", "599186"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        header, row = proc.stdout.readline(), proc.stdout.readline()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+    _, err = proc.communicate()
+    assert err == ""
+    assert len(header) == len(row) == 599186 * 7
+    assert (header[:6], row[:6], row[6:]) == ("     x", "     1", header[6:])
 
 
 class TestStreamedEuclidTable:

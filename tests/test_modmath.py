@@ -477,3 +477,15 @@ def test_float_arguments_are_refused(call, message):
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rsa.is_prime(1.5), "n must be an int, got 1.5"),
+    (lambda: rsa.is_prime(-3.0), "n must be an int, got -3.0"),
+    (lambda: modmath.is_square_free(1.0), "n must be an int, got 1.0"),
+], ids=["is_prime-1.5", "is_prime-minus-3.0", "is_square_free-1.0"])
+def test_floats_below_two_are_refused(call, message):
+    # the type comes first: the n >= 2 test alone would answer False, or raise ValueError
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message

@@ -626,3 +626,29 @@ class TestMessageValueTypes:
 
         code = enum.IntEnum("Code", "A B")
         assert NumberMessage((code.A, 2), 221).values == (1, 2)
+
+
+class TestDerivedMessages:
+    """transform builds its result through modmath._new: residues by construction, validated nowhere again."""
+
+    @pytest.mark.parametrize("key", [
+        PublicKey(221, 29), PrivateKey(221, 53), PrivateKey(221, 53, 13, 17), PAIR_22.private_key,
+        PrivateKey(22, 3, 11, 2),  # q = 2: d_q = (f - 1) % 1 + 1 wraps to 1
+    ], ids=["public", "n-f", "n-f-p-q", "p-2", "q-2"])
+    def test_every_residue_powers_as_builtin_pow(self, key):
+        k = key.e if isinstance(key, PublicKey) else key.f
+        got = rsa.transform(NumberMessage(range(key.n), key.n), key)
+        assert got.values == tuple(pow(v, k, key.n) for v in range(key.n))
+        assert all(type(v) is int and 0 <= v < key.n for v in got.values)
+        rebuilt = NumberMessage(list(got.values), key.n)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+
+    def test_one_validation_loop_and_no_validating_constructor_in_transform(self):
+        tree = ast.parse(Path(rsa.__file__).read_text(encoding="utf-8"))
+        message = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "NumberMessage")
+        hook = next(node for node in message.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+        assert sum(isinstance(node, ast.For) for node in ast.walk(hook)) == 1
+        for name in ("transform", "decode_stream"):
+            calls = [node.func.id for node in ast.walk(_rsa_functions()[name])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+            assert "NumberMessage" not in calls, name
