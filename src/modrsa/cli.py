@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--text", action="store_true", dest="decode", help="decode the result to letters")
             p.add_argument("numbers", type=_vector, nargs="?", metavar="V1,V2,...")
 
-    p = command("suggest-primes", _cmd_suggest_primes, "primes in [lo, hi], by a segmented sieve")
+    p = command("suggest-primes", _cmd_suggest_primes, "primes in [lo, hi], by a sieve of Eratosthenes")
     p.add_argument("lo", type=_natural)
     p.add_argument("hi", type=_natural)
 

@@ -104,14 +104,10 @@ class Value:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-def _not_int(value) -> bool:
-    # the rule for exponents, factors, message values and number-theory arguments: an int, and not a bool
-    return isinstance(value, bool) or not isinstance(value, int)
-
-
 def _check_int(name, value) -> None:
-    # a float or other non-int argument is a programming mistake, not bad input
-    if _not_int(value):
+    # exponents, factors and number-theory arguments are ints and not bools; anything else
+    # is a programming mistake, not bad input
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 

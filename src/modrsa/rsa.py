@@ -1,8 +1,8 @@
 """Textbook RSA over small moduli.
 
 Key generation from caller-chosen primes (checked by trial division,
-after the modulus bound), prime ranges by a segmented sieve of
-Eratosthenes, the 27-symbol letter codec, and the
+after the modulus bound), prime ranges by a one-pass sieve of
+Eratosthenes over the window, the 27-symbol letter codec, and the
 encrypt/decrypt/sign/verify protocol, one letter per residue with no
 blocking. Encrypt, decrypt, sign and verify are one function, the map
 x -> x^k mod n, and the key decides k: e for a public key, f for a
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedCharacterError,
     ValueOutOfAlphabetError,
 )
-from .modmath import Value as _Value, _new, _not_int
+from .modmath import Value as _Value, _new
 
 # A = 1, B = 2, ..., Z = 26, space = 27.
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
@@ -58,35 +58,26 @@ def is_prime(n: int) -> bool:
     return n >= 2 and next(modmath.prime_factors(n)) == n
 
 
-# numbers per sieve segment: the window is crossed off this many at a time
-_SEGMENT = 2**16
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi; hi may not exceed MAX_MODULUS.
 
-    A segmented sieve of Eratosthenes (Bays and Hudson 1977): the primes up
-    to sqrt(hi), found by the same sieve, cross off their multiples in the
-    window, _SEGMENT numbers at a time, so memory stays fixed however wide
-    the window is.
+    A sieve of Eratosthenes over the window in one pass: the primes up to
+    sqrt(hi), found by the same sieve, cross off their multiples in a
+    bytearray of one byte per number from lo to hi.
     """
     if hi > modmath.MAX_MODULUS:
         raise ValueError(f"primes are searched up to 2**31 - 1, got hi = {hi}")
     lo = max(lo, 2)
     if lo > hi:
         return []
-    base = primes_in_range(2, math.isqrt(hi))
-    primes = []
-    for start in range(lo, hi + 1, _SEGMENT):
-        size = min(_SEGMENT, hi + 1 - start)
-        segment = bytearray([1]) * size
-        for p in base:
-            # offset of the first multiple of p to cross off: p*p, or the first in the segment
-            first = p * p - start if p * p > start else -start % p
-            if first < size:
-                segment[first::p] = bytes((size - 1 - first) // p + 1)
-        primes.extend(itertools.compress(range(start, start + size), segment))
-    return primes
+    size = hi + 1 - lo
+    window = bytearray([1]) * size
+    for p in primes_in_range(2, math.isqrt(hi)):
+        # offset of the first multiple of p to cross off: p*p, or the first in the window
+        first = p * p - lo if p * p > lo else -lo % p
+        if first < size:
+            window[first::p] = bytes((size - 1 - first) // p + 1)
+    return list(itertools.compress(range(lo, hi + 1), window))
 
 
 def phi_semiprime(p: int, q: int) -> int:
@@ -104,12 +95,11 @@ def phi_semiprime(p: int, q: int) -> int:
 
 
 def _check_ints(key) -> None:
-    # an exponent or factor that is not an int is a programming mistake, not bad input;
     # n is left to check_modulus, which every key runs first
     for name in key._fields:
         value = getattr(key, name)
-        if name != "n" and value is not None and _not_int(value):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+        if name != "n" and value is not None:
+            modmath._check_int(name, value)
 
 
 class PublicKey(_Value, namedtuple("PublicKey", "n e")):

@@ -951,6 +951,13 @@ class TestLineBound:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == ",".join(map(str, primes_in_range(lo, hi))) + "\n"
 
+    def test_the_widest_suggest_primes_window_fits_in_48_mib(self):
+        # the one-pass sieve holds a byte per number of the window, beside the list of primes and its line
+        lo, hi = 2146721048, modmath.MAX_MODULUS
+        proc = _run_capped(48, ["suggest-primes", str(lo), str(hi)], capture_output=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ",".join(map(str, primes_in_range(lo, hi))) + "\n"
+
     def test_the_longest_table_lines_fit(self):
         # table 599186: the header and each row are 599186 cells of six characters and a space
         pytest.importorskip("resource")

@@ -155,6 +155,30 @@ class TestPrimeSieve:
         assert len(rsa.primes_in_range(2, 10**6)) == 78498
 
 
+class TestOnePassSieve:
+    """primes_in_range sieves its window in one pass; squares near the edges are crossed off."""
+
+    @pytest.mark.parametrize("p", [46337, 46327])
+    def test_windows_around_squares_near_the_cap(self, p):
+        square = p * p
+        for lo, hi in ((square - 5, square + 5), (square - 5, square), (square - 1000, square), (square, square + 5)):
+            assert rsa.primes_in_range(lo, hi) == _trial_division(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_small_windows_starting_at_a_square(self, p):
+        for lo in (p * p - 1, p * p, p * p + 1):
+            for hi in (lo, p * p, lo + 50):
+                assert rsa.primes_in_range(lo, hi) == _trial_division(lo, hi), (lo, hi)
+
+    def test_one_bytearray_per_sieving_call(self, monkeypatch):
+        # the widest CLI window sieves at five levels: the window, then the base primes up to 46340, 215, 14 and 3
+        made = []
+        monkeypatch.setattr(rsa, "bytearray", lambda *args: made.append(args) or bytearray(*args), raising=False)
+        primes = rsa.primes_in_range(2146721048, MAX)
+        assert len(made) == 5
+        assert (len(primes), primes[-1]) == (35527, MAX)
+
+
 def _run(argv, timeout=60):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout)
@@ -295,6 +319,27 @@ class TestFieldTypes:
     def test_private_exponent_and_factors_must_be_ints(self, fields):
         with pytest.raises(TypeError):
             PrivateKey(*fields)
+
+
+# the 221 key types by field; n has no case, since check_modulus refuses it as an invalid modulus
+_KEY_FIELDS = [
+    (PublicKey, {"n": 221, "e": 29}),
+    (PrivateKey, {"n": 221, "f": 53, "p": 13, "q": 17, "phi": 192}),
+    (RsaKeyPair, {"p": 13, "q": 17, "n": 221, "phi": 192, "e": 29, "f": 53}),
+]
+
+
+class TestKeyFieldTypeErrorText:
+    """A key field that is not an int is refused in modmath._check_int's words."""
+
+    @pytest.mark.parametrize("cls, fields, name, bad", [
+        pytest.param(cls, fields, name, bad, id=f"{cls.__name__}-{name}-{bad!r}")
+        for cls, fields in _KEY_FIELDS for name in fields if name != "n" for bad in (float(fields[name]), True)
+    ])
+    def test_message_names_the_field_and_the_value(self, cls, fields, name, bad):
+        with pytest.raises(TypeError) as exc:
+            cls(**{**fields, name: bad})
+        assert str(exc.value) == f"{name} must be an int, got {bad!r}"
 
 
 def _value_types(cls=modmath.Value):
