@@ -6,7 +6,9 @@ an unwritable standard output.
 Output is deterministic: single values print as bare decimals, vectors
 as comma-separated values with no spaces, tables row-major with a header
 row. A command holds at most one output line, of at most MAX_LINE
-characters; gcd --extended passes over its table twice, for the column
+characters: table, critical and suggest-primes give _bound_line their
+line's shape, (cells, widest), and it refuses a longer line before any
+output. gcd --extended passes over its table twice, for the column
 widths and then the rows. Message vectors come from an argument or, when
 omitted, one per line on standard input; stdin is processed line by line,
 so lines before a bad one are answered.
@@ -33,10 +35,11 @@ from .errors import DomainError
 
 PROG = "modrsa"
 
-# The one number syntax, for arguments and vectors alike: ASCII decimals
-_NUMBER = "-?[0-9]+"
+# The one number syntax, for arguments and vectors alike: ASCII decimals, possessive, so a long
+# vector line keeps no backtracking state per character
+_NUMBER = "-?[0-9]++"
 _INTEGER = re.compile(_NUMBER)
-_VECTOR = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")
+_VECTOR = re.compile(f"{_NUMBER}(?:,{_NUMBER})*+")
 
 
 class _UsageError(Exception):
@@ -104,9 +107,10 @@ CHECK_STEPS = 10**7  # the most naive oracle steps --check may take: 1.4-2.5 s o
 MAX_LINE = 2**22  # the longest output line a command may build, in characters
 
 
-def _bound_line(args, chars):
-    """Refuse, as a usage error before any output, a command whose line could hold more than MAX_LINE characters."""
-    if chars > MAX_LINE:
+def _bound_line(args, cells, widest):
+    """Refuse, as a usage error before any output, a line of cells numbers up to widest, each with a separator,
+    that could pass MAX_LINE; past MAX_LINE // 2 cells any width does, so str() never sees a huge widest."""
+    if cells > MAX_LINE // 2 or cells * (len(str(widest)) + 1) > MAX_LINE:
         args.parser.error(f"an output line holds at most MAX_LINE = {MAX_LINE} characters; this one could be longer")
 
 
@@ -133,10 +137,7 @@ def _cmd_reduce(args, stdin):
 
 
 def _cmd_binop(args, stdin):
-    a = modmath.reduce(args.a, args.n)
-    b = modmath.reduce(args.b, args.n)
-    op = {"add": modmath.add, "sub": modmath.sub, "mul": modmath.mul, "div": modmath.divide}[args.op]
-    return [op(a, b).value]
+    return [args.op(modmath.reduce(args.a, args.n), modmath.reduce(args.b, args.n)).value]
 
 
 def _cmd_gcd(args, stdin):
@@ -163,12 +164,11 @@ def _cmd_inverse(args, stdin):
 
 def _cmd_table(args, stdin):
     n = modmath.check_modulus(args.n)
-    width = len(str(n - 1))
-    _bound_line(args, n * (width + 1))  # n cells of width characters and a space each
+    _bound_line(args, n, n - 1)
     header = chain(["x"], map(str, range(1, n)))
     # cells from plain ints: one Residue per cell would take several times the memory
     rows = ([str(i)] + [str(i * j % n) for j in range(1, n)] for i in range(1, n))
-    return _columns(chain([header], rows), repeat(width))
+    return _columns(chain([header], rows), repeat(len(str(n - 1))))
 
 
 def _cmd_phi(args, stdin):
@@ -194,8 +194,7 @@ def _cmd_powmod(args, stdin):
 
 def _cmd_critical(args, stdin):
     phi, count = modmath.phi(args.n), args.count
-    # count numbers and their commas; a count past MAX_LINE // 2 is refused before str() sees one of its size
-    _bound_line(args, 2 * count if count > MAX_LINE // 2 else count * (len(str(1 + (count - 1) * phi)) + 1))
+    _bound_line(args, count, 1 + (count - 1) * phi)
     return [_csv(modmath.critical_exponents(args.n, phi, count))]
 
 
@@ -290,7 +289,7 @@ def _cmd_suggest_primes(args, stdin):
 
     lo, hi = args.lo, args.hi
     if hi <= modmath.MAX_MODULUS:  # above it, primes_in_range refuses hi itself
-        _bound_line(args, ((hi - max(lo, 2)) // 2 + 1) * (len(str(hi)) + 1))  # 2 and the odd numbers, at most
+        _bound_line(args, (hi - max(lo, 2)) // 2 + 1, hi)  # 2 and the odd numbers, at most
     return [_csv(rsa.primes_in_range(lo, hi))]
 
 
@@ -310,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=_integer)
     p.add_argument("n", type=_integer)
 
-    for op, text in (("add", "sum"), ("sub", "difference"), ("mul", "product"), ("div", "quotient")):
-        p = command(op, _cmd_binop, f"{text} of a and b mod n")
+    for name, op, text in (("add", modmath.add, "sum"), ("sub", modmath.sub, "difference"),
+                           ("mul", modmath.mul, "product"), ("div", modmath.divide, "quotient")):
+        p = command(name, _cmd_binop, f"{text} of a and b mod n")
         p.add_argument("a", type=_integer)
         p.add_argument("b", type=_integer)
         p.add_argument("n", type=_integer)

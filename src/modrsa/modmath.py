@@ -143,8 +143,7 @@ class Residue(Value, namedtuple("Residue", "value modulus")):
     __slots__ = ()
 
     def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
-            raise TypeError(f"residue value must be an int, got {self.value!r}")
+        _check_int("residue value", self.value)
         if not isinstance(self.modulus, Modulus):
             raise TypeError(f"residue modulus must be a Modulus, got {self.modulus!r}")
         if not 0 <= self.value < self.modulus.n:
@@ -208,21 +207,15 @@ def mul(a: Residue, b: Residue) -> Residue:
     return Residue(a.value * b.value % m.n, m)
 
 
-def mul_row(i: int, n) -> list[Residue]:
-    """Row i of the multiplication table: i * j mod n for j = 1..n-1."""
-    m = _as_modulus(n)
-    return [Residue(i * j % m.n, m) for j in range(1, m.n)]
-
-
 def mul_table(n) -> list[list[Residue]]:
     """The (n-1) x (n-1) multiplication table for nonzero residues.
 
     Entry [i][j] holds (i+1) * (j+1) mod n, i.e. rows and columns are
     labelled 1..n-1 and the zero row is omitted, as these tables are
-    usually presented. mul_row builds one row, for callers that stream.
+    usually presented.
     """
     m = _as_modulus(n)
-    return [mul_row(i, m) for i in range(1, m.n)]
+    return [[Residue(i * j % m.n, m) for j in range(1, m.n)] for i in range(1, m.n)]
 
 
 def gcd(x: int, y: int) -> int:
@@ -294,6 +287,8 @@ def extended_gcd(x: int, y: int) -> tuple[BezoutCertificate, EuclidTrace]:
     Euclid) taken in the symmetric range, 0 when y/g = 1, and b follows
     from a*x + b*y = g. The trace runs the loop only when it is read.
     """
+    _check_int("x", x)
+    _check_int("y", y)
     if x < 1 or y < 1:
         raise UndefinedGcdError("extended gcd needs two integers >= 1")
     if x < y:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import errno
 import gc
@@ -1054,3 +1055,29 @@ class TestDigitLimitWitness:
     ], ids=["crt", "phi-semiprime", "keygen"])
     def test_huge_product_is_an_invalid_modulus(self, argv):
         assert run_cli(argv) == (2, "", self.MESSAGE)
+
+
+class TestBoundLineAtMaxLine:
+    """_bound_line(args, cells, widest) allows a line of exactly MAX_LINE characters and refuses one more."""
+
+    ARGS = argparse.Namespace(parser=cli._Parser(prog=cli.PROG))
+
+    @pytest.mark.parametrize("cells, widest", [(2**20, 999), (2**21, 9)])
+    def test_a_line_of_max_line_characters_passes(self, cells, widest):
+        # 2**20 cells of three digits and a separator, and 2**21 of one digit and a separator: 2**22 each
+        cli._bound_line(self.ARGS, cells, widest)
+
+    @pytest.mark.parametrize("cells, widest", [(2**20, 1000), (2**21 + 1, 9)])
+    def test_one_character_more_is_refused(self, cells, widest):
+        with pytest.raises(cli._UsageError) as info:
+            cli._bound_line(self.ARGS, cells, widest)
+        assert str(info.value).startswith(f"an output line holds at most MAX_LINE = {cli.MAX_LINE} characters")
+
+
+def test_a_max_line_stdin_vector_is_answered_in_256_mib(keys):
+    # a 4 MiB line of one-digit values; the backtracking vector pattern needed about 95 bytes per character
+    line = ",".join(["1"] * 2**21) + "\n"  # 1**29 mod 221 is 1, so the answer is the line itself
+    assert len(line) == cli.MAX_LINE
+    proc = _run_capped(256, ["encrypt", "--key", keys["pub221"]], input=line, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == line

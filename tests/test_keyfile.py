@@ -282,3 +282,14 @@ def test_exact_key_file_messages(tmp_path, content, message):
     with pytest.raises(KeyFileError) as exc:
         read_key_file(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+def test_a_write_onto_a_directory_removes_its_temporary_file(tmp_path):
+    target = tmp_path / "keys"
+    target.mkdir()
+    (target / "inside.txt").write_text("kept\n", encoding="ascii")
+    with pytest.raises(KeyFileError) as info:
+        write_key_file(target, PublicKey(221, 29))
+    assert str(info.value) == f"{target}: cannot write key file (Is a directory)"
+    assert sorted(os.listdir(tmp_path)) == ["keys"]
+    assert os.listdir(target) == ["inside.txt"] and (target / "inside.txt").read_text(encoding="ascii") == "kept\n"

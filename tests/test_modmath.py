@@ -489,3 +489,17 @@ def test_floats_below_two_are_refused(call, message):
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (True, 1, "x must be an int, got True"),
+    (1, False, "y must be an int, got False"),
+    (5.0, 3, "x must be an int, got 5.0"),
+    (5, 3.0, "y must be an int, got 3.0"),
+    (3, 5.0, "y must be an int, got 5.0"),
+], ids=["bool-x", "bool-y", "float-x", "float-y", "float-y-swapped"])
+def test_extended_gcd_refuses_what_is_not_an_int(x, y, message):
+    # a bool used to give a certificate whose trace raised when read; a float, math.gcd's own message
+    with pytest.raises(TypeError) as info:
+        extended_gcd(x, y)
+    assert str(info.value) == message
