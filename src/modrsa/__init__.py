@@ -4,10 +4,12 @@ The library splits into four parts:
 
 - modmath: residue arithmetic, Euclid and extended Euclid, fast powers,
   trial-division factoring with phi and square-free tests, critical
-  exponents, CRT coordinates and their recombination
+  exponents, CRT coordinates and their recombination, and a prime's power
+  table
 - oracle: deliberately naive mirrors of the above, used as ground truth
 - rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify,
-  and decode_stream, which decodes transformed texts behind a memo of powers
+  decode_stream, which decodes transformed texts behind a memo of powers,
+  and transform_stream, which powers a long stream by per-prime power tables
 - cli / keyfile: command-line front end and the flat key file format
 
 modmath and the error types load with the package. rsa, keyfile, oracle

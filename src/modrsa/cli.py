@@ -11,7 +11,11 @@ line's shape, (cells, widest), and it refuses a longer line before any
 output. gcd --extended passes over its table twice, for the column
 widths and then the rows. Message vectors come from an argument or, when
 omitted, one per line on standard input; stdin is processed line by line,
-so lines before a bad one are answered.
+so lines before a bad one are answered. Each stdin line comes from one
+read of at most MAX_LINE + 1 characters, and a longer line is refused.
+Plain stdin vectors go through rsa.transform_stream, so a private key
+with small primes powers a long stream from tables; an argument is
+powered value by value.
 
 With --text, stdin is decoded by wire token: a transformed text is a
 substitution over at most 27 tokens, so each distinct token is parsed,
@@ -28,6 +32,7 @@ import gc
 import os
 import re
 import sys
+from functools import partial
 from itertools import chain, repeat
 
 from . import modmath
@@ -221,6 +226,22 @@ def _cmd_keygen(args, stdin):
     return [f"{name} = {getattr(pair, name)}" for name in pair._fields]
 
 
+def _stdin_lines(stdin):
+    """Yield (lineno, line) for each stdin line; a line of more than MAX_LINE characters is a DomainError.
+
+    A file is read by readline(MAX_LINE + 1), so no longer line is held
+    whole. An object without readline is iterated as it is, with no bound
+    on the read: that path serves only the tests' stand-in for a stdin
+    whose read fails.
+    """
+    read = getattr(stdin, "readline", None)
+    lines = stdin if read is None else iter(partial(read, MAX_LINE + 1), "")
+    for lineno, line in enumerate(lines, start=1):
+        if len(line) - line.endswith("\n") > MAX_LINE:
+            raise DomainError(f"standard input line {lineno}: a line holds at most MAX_LINE = {MAX_LINE} characters")
+        yield lineno, line
+
+
 def _stdin_vector(lineno, line) -> tuple[int, ...]:
     """The vector on stdin line lineno, or a DomainError naming the line."""
     try:
@@ -244,7 +265,7 @@ def _decode_stdin(stdin, transform, key):
     table = {}  # wire token -> its letter
     pending = []  # the next message for decode_stream, fed one at a time
     decoded = rsa.decode_stream(iter(pending.pop, None), transform, key)
-    for lineno, line in enumerate(stdin, start=1):
+    for lineno, line in _stdin_lines(stdin):
         tokens = line.strip().split(",")
         try:
             text = "".join(map(table.__getitem__, tokens))
@@ -264,7 +285,8 @@ def _cmd_power(args, stdin):
     The message comes from one of three sources: the vector of --numbers
     (an argument for decrypt and verify), the text argument, or standard
     input, one vector per line, each line read only after the one before
-    it is answered. With --text, stdin lines are decoded by _decode_stdin.
+    it is answered. With --text, stdin lines are decoded by _decode_stdin;
+    without, they go through rsa.transform_stream.
     """
     from . import rsa
 
@@ -279,7 +301,8 @@ def _cmd_power(args, stdin):
     elif args.decode:
         return _decode_stdin(stdin, transform, key)
     else:
-        messages = (rsa.NumberMessage(_stdin_vector(lineno, line), key.n) for lineno, line in enumerate(stdin, 1))
+        messages = (rsa.NumberMessage(_stdin_vector(lineno, line), key.n) for lineno, line in _stdin_lines(stdin))
+        return map(_csv, rsa.transform_stream(messages, transform, key))
     show = rsa.decode_text if args.decode else _csv
     return (show(transform(msg, key)) for msg in messages)
 

@@ -36,6 +36,8 @@ from .errors import (
 )
 
 MAX_MODULUS = 2**31 - 1
+# the largest p power_table takes, 46340: the smaller factor of every modulus is no larger
+MAX_TABLE = math.isqrt(MAX_MODULUS)
 
 # a value from its fields, unvalidated: for fields right by construction, such as
 # extended_gcd's certificate or the residues rsa.transform and rsa.decode_stream derive
@@ -350,6 +352,35 @@ def pow_mod(x: Residue, exponent: int) -> Residue:
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
     return Residue(pow(x.value, exponent, x.modulus.n), x.modulus)
+
+
+def power_table(p: int, d: int):
+    """x**d mod p for every x in [0, p), as an array of 2-byte ints; p is a prime up to MAX_TABLE.
+
+    The units mod a prime form a cyclic group, so a primitive root g, found
+    from the prime factors of p - 1, walks them all: g**k beside
+    (g**d)**k, two products an entry and no pow. g**(k + (p-1)/2) is -g**k,
+    so half the walk gives the other half, (p - x)**d = (-1)**d * x**d.
+    """
+    _check_int("p", p)
+    _check_int("d", d)
+    if not 2 <= p <= MAX_TABLE or next(prime_factors(p)) != p:
+        raise ValueError(f"power tables are built for primes up to {MAX_TABLE}, got p = {p}")
+    if d < 0:
+        raise ValueError("exponent must be >= 0")
+    from array import array  # on first use, so importing modmath stays cheap
+
+    orders = [(p - 1) // r for r in set(prime_factors(p - 1))]
+    g = next(g for g in range(1, p) if all(pow(g, k, p) != 1 for k in orders))
+    table = array("H", [0]) * p
+    table[0] = pow(0, d, p)
+    gd, odd = pow(g, d, p), d % 2
+    x = y = 1
+    for _ in range(p // 2):
+        table[x] = y
+        table[p - x] = p - y if odd else y
+        x, y = x * g % p, y * gd % p
+    return table
 
 
 def prime_factors(n: int):

@@ -7,7 +7,10 @@ encrypt/decrypt/sign/verify protocol, one letter per residue with no
 blocking. Encrypt, decrypt, sign and verify are one function, the map
 x -> x^k mod n, and the key decides k: e for a public key, f for a
 private one. A private key that carries both primes takes each power as
-two half-size powers recombined by CRT. One letter per
+two half-size powers recombined by CRT. transform_stream, which the CLI
+runs on stdin vectors, reads those half powers from a power table of each
+prime instead, when both primes are at most 46340 and the stream has
+powered enough values to pay for the tables. One letter per
 residue makes a transformed text a substitution cipher over 27 codes,
 so decode_stream, which is decode_text of each transformed message,
 keeps a memo of at most 27 powers and powers each distinct value once.
@@ -125,7 +128,10 @@ class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None,
     those travel in private key files. Whichever of them are present must
     agree with n, f and each other, and p and q together must be distinct
     primes whose phi = (p-1)(q-1) has f as a unit. A key with both factors
-    powers by CRT, with exponents computed on first use.
+    powers by CRT, with exponents computed on first use. Once a
+    transform_stream has powered enough values with it, and both are at
+    most modmath.MAX_TABLE, it reads the powers from their power tables
+    instead, for as long as the key object lives.
     """
 
     def __post_init__(self):
@@ -150,15 +156,39 @@ class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None,
             phi_semiprime(p, q)
 
     @cached_property
+    def _crt(self):  # (d_p, d_q, q**-1 mod p) of a key with both factors, computed once per key
+        p, q, f = self.p, self.q, self.f
+        # d_p is f mod (p-1), shifted into [1, p-1] so that 0 still powers to 0 (p = 2 gives f mod 1 = 0)
+        return (f - 1) % (p - 1) + 1, (f - 1) % (q - 1) + 1, pow(q, -1, p)
+
+    @cached_property
     def _powers(self):  # values -> their f-th powers mod n, built once per key; not a field
         p, q, f, n = self.p, self.q, self.f, self.n
         if p is None or q is None:
             return lambda values: (pow(v, f, n) for v in values)
-        # Quisquater-Couvreur: v^d_p mod p and v^d_q mod q, recombined by Garner. d_p is
-        # f mod (p-1), shifted into [1, p-1] so that 0 still powers to 0 (p = 2 gives f mod 1 = 0)
-        d_p, d_q, q_inv = (f - 1) % (p - 1) + 1, (f - 1) % (q - 1) + 1, pow(q, -1, p)
-        garner = modmath.garner
+        # Quisquater-Couvreur: v^d_p mod p and v^d_q mod q, recombined by Garner
+        (d_p, d_q, q_inv), garner = self._crt, modmath.garner
         return lambda values: (garner(pow(v, d_p, p), pow(v, d_q, q), p, q, q_inv) for v in values)
+
+    @cached_property
+    def _tabled(self):  # _powers read from the power tables of p and q, which are built here
+        p, q = self.p, self.q
+        (d_p, d_q, q_inv), garner = self._crt, modmath.garner
+        table_p, table_q = modmath.power_table(p, d_p), modmath.power_table(q, d_q)
+        return lambda values: (garner(table_p[v % p], table_q[v % q], p, q, q_inv) for v in values)
+
+    def _values_before_tables(self):  # values a stream powers by pow before it builds _tabled; inf without tables
+        p, q = self.p, self.q
+        if p is None or q is None or max(p, q) > modmath.MAX_TABLE:
+            return math.inf
+        # Measured from p, q = 13, 17 to 46337, 46327, the tables cost what powering about
+        # 100 + (p + q)/18 values by pow rather than lookups does. Wherever the switch is, the
+        # stream just past it pays the whole build, at most about a tenth of a cold command,
+        # so it comes at a quarter of that: short streams never build, long ones keep most of the gain
+        return 25 + (p + q) // 72
+
+    def _tabulate(self):  # from now on, every power of this key is read from _tabled
+        vars(self)["_powers"] = self._tabled  # where cached_property keeps _powers
 
 
 class RsaKeyPair(_Value, namedtuple("RsaKeyPair", "p q n phi e f")):
@@ -295,6 +325,26 @@ def decode_stream(messages, transform, key):
                 table[v] = code
         powers.update(table)
         yield decode_text(_new(NumberMessage, (tuple(map(powers.__getitem__, msg.values)), msg.n)))
+
+
+def transform_stream(messages, transform, key):
+    """Yield transform(msg, key) for each message, in order.
+
+    A PrivateKey whose p and q are both at most modmath.MAX_TABLE powers
+    each value by pow until the stream has powered a quarter of the values
+    that would pay for the power tables of p and q, 1 312 for primes near
+    46340. Then it builds them, and from the next message on, and for every
+    later use of the key object, each value is two lookups and a Garner
+    step. A shorter stream, an empty one, or any other key builds none.
+    Errors are those of transform.
+    """
+    left = key._values_before_tables() if isinstance(key, PrivateKey) else math.inf
+    for msg in messages:
+        if left <= 0:
+            key._tabulate()
+            left = math.inf
+        left -= len(msg.values)
+        yield transform(msg, key)
 
 
 def transform(msg: NumberMessage, key) -> NumberMessage:

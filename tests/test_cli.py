@@ -3,6 +3,7 @@ import ast
 import errno
 import gc
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 import modrsa
 from cli_cases import CASE_MAPPED_TO_ASCII, GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
 from modrsa import cli, modmath
+from modrsa.errors import DomainError
 from modrsa.keyfile import read_key_file
 from modrsa.modmath import Residue
 from modrsa.rsa import (
@@ -1081,3 +1083,83 @@ def test_a_max_line_stdin_vector_is_answered_in_256_mib(keys):
     proc = _run_capped(256, ["encrypt", "--key", keys["pub221"]], input=line, capture_output=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == line
+
+
+class TestStdinLineBound:
+    """Each stdin line is one bounded read; a line past MAX_LINE characters is refused with its number."""
+
+    REFUSED = f"error: standard input line 2: a line holds at most MAX_LINE = {cli.MAX_LINE} characters\n"
+
+    def test_max_line_characters_pass_and_one_more_is_refused(self):
+        longest = "1" * cli.MAX_LINE
+        lines = cli._stdin_lines(io.StringIO(f"{longest}\n{longest}\n{longest}1\n2\n"))
+        assert [len(line) for _, line in itertools.islice(lines, 2)] == [cli.MAX_LINE + 1] * 2
+        with pytest.raises(DomainError) as info:
+            next(lines)
+        assert str(info.value) == f"standard input line 3: a line holds at most MAX_LINE = {cli.MAX_LINE} characters"
+
+    def test_a_last_line_without_newline_may_hold_max_line_characters(self):
+        assert list(cli._stdin_lines(io.StringIO("1" * cli.MAX_LINE))) == [(1, "1" * cli.MAX_LINE)]
+
+    def test_a_text_stream_answers_the_lines_before_a_long_one(self, keys):
+        long_line = ",".join(["1"] * (2**21 + 1)) + "\n"  # MAX_LINE + 1 characters before the newline
+        code, out, err = run_cli(["verify", "--key", keys["pub221"], "--text"], _signed_lines(["HELLO"]) + long_line)
+        assert (code, out, err) == (2, "HELLO\n", self.REFUSED)
+
+    def test_a_6_mib_line_is_refused_in_256_mib(self, keys):
+        # the line used to be parsed and its output joined, until a MemoryError traceback ended the process
+        stdin = "8,5,5,12,16\n" + ",".join(["1"] * 3 * 2**20) + "\n" + "1\n"
+        proc = _run_capped(256, ["encrypt", "--key", keys["pub221"]], input=stdin, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, self.REFUSED)
+        assert proc.stdout == (GOLDEN_DIR / "encrypt-numbers.out").read_text()
+
+
+class TestStdinPowerTables:
+    """decrypt and sign on a long plain stdin stream switch to the key's tables; short ones, one-shots and --text keep pow."""
+
+    @pytest.fixture
+    def pows(self, monkeypatch):
+        from modrsa import rsa
+
+        calls = []
+
+        def recording_pow(base, exp, mod=None):
+            calls.append((exp, mod))
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(rsa, "pow", recording_pow, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("command", ["decrypt", "sign"])
+    def test_a_long_plain_stream_stops_calling_pow_at_the_switch(self, pows, keys, command):
+        rng = random.Random(7)
+        rows = [[rng.randrange(221) for _ in range(10)] for _ in range(200)]
+        stdin = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        code, out, err = run_cli([command, "--key", keys["priv221"]], stdin)
+        assert (code, err) == (0, "")
+        assert out == "".join(",".join(str(pow(v, 53, 221)) for v in row) + "\n" for row in rows)
+        # q**-1 mod p once, then pow for the 30 values of the lines that reach priv221's switch at 25
+        assert pows[0] == (-1, 13)
+        assert sorted(mod for _, mod in pows[1:]) == [13] * 30 + [17] * 30
+
+    @pytest.mark.parametrize("argv, stdin, values", [
+        (["decrypt", "--key", "{priv221}", "60,122,116,116,19"], "", 5),
+        (["sign", "--key", "{priv221}", "HELLO"], "", 5),
+        (["decrypt", "--key", "{priv221}", "--text"], "60,122,116,116,19\n60,122\n", 4),
+        (["decrypt", "--key", "{priv221}"], "60,122,116,116,19\n60,122,116,116,19\n1,2,3,4,5,6,7,8,9,10,11,12,13,14\n", 24),
+    ], ids=["one-shot-vector", "one-shot-text", "text-stream", "short-stream"])
+    def test_one_shots_short_streams_and_text_streams_keep_pow(self, pows, keys, argv, stdin, values):
+        code, _, err = run_cli(fill_argv(argv, keys), stdin)
+        assert (code, err) == (0, "")
+        assert sorted(mod for exp, mod in pows if exp != -1) == [13] * values + [17] * values
+
+    def test_the_transform_sees_every_line(self, monkeypatch, keys):
+        # the stream goes through rsa.decrypt, so a wrapper on it (a tracing span) sees each message
+        from modrsa import rsa
+
+        seen = []
+        decrypt_ = rsa.decrypt
+        monkeypatch.setattr(rsa, "decrypt", lambda msg, key: seen.append(msg.values) or decrypt_(msg, key))
+        code, _, err = run_cli(["decrypt", "--key", keys["priv221"]], "1,2\n3\n\n4,5,6\n")
+        assert (code, err) == (0, "")
+        assert seen == [(1, 2), (3,), (), (4, 5, 6)]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -503,3 +505,66 @@ def test_extended_gcd_refuses_what_is_not_an_int(x, y, message):
     with pytest.raises(TypeError) as info:
         extended_gcd(x, y)
     assert str(info.value) == message
+
+
+class TestPowerTable:
+    """power_table(p, d) is pow(x, d, p) for every x in [0, p), built by a primitive-root walk."""
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 17, 46327, 46337])
+    @pytest.mark.parametrize("d", [1, 3, 29, 4097, 0, 2, 30])
+    def test_every_entry_is_the_power(self, p, d):
+        table = modmath.power_table(p, d)
+        assert isinstance(table, array)
+        assert list(table) == [pow(x, d, p) for x in range(p)]
+
+    def test_the_stream_key_exponents(self):
+        # the benchmark's stream key, whose d_p and d_q are exponents the CLI tables
+        f = rsa.keygen(46337, 46327, 29).f
+        for p in (46337, 46327):
+            d = (f - 1) % (p - 1) + 1
+            assert list(modmath.power_table(p, d)) == [pow(x, d, p) for x in range(p)]
+
+    @pytest.mark.parametrize("p", [46341, 46349, 2**31 - 1, 2**31, 10**100, 1, 0, -13, 15, 46339])
+    def test_refuses_p_that_is_not_a_prime_up_to_the_bound(self, p):
+        with pytest.raises(ValueError, match=f"power tables are built for primes up to 46340, got p = {p}"):
+            modmath.power_table(p, 3)
+
+    def test_the_bound_is_the_square_root_of_the_modulus_cap(self):
+        assert modmath.MAX_TABLE == math.isqrt(modmath.MAX_MODULUS) == 46340
+
+    def test_refuses_before_it_allocates(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                modmath.power_table(2**31 - 1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("p, d, message", [
+        (13.0, 3, "p must be an int, got 13.0"),
+        (True, 3, "p must be an int, got True"),
+        (13, 3.0, "d must be an int, got 3.0"),
+        (13, False, "d must be an int, got False"),
+        ("13", 3, "p must be an int, got '13'"),
+    ], ids=["float-p", "bool-p", "float-d", "bool-d", "str-p"])
+    def test_refuses_what_is_not_an_int(self, p, d, message):
+        with pytest.raises(TypeError) as info:
+            modmath.power_table(p, d)
+        assert str(info.value) == message
+
+    def test_refuses_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            modmath.power_table(13, -1)
+
+    def test_both_stream_key_tables_peak_under_1_mib(self):
+        f = rsa.keygen(46337, 46327, 29).f
+        tracemalloc.start()
+        try:
+            tables = [modmath.power_table(p, (f - 1) % (p - 1) + 1) for p in (46337, 46327)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables[0]) + len(tables[1]) == 46337 + 46327
+        assert peak < 2**20

@@ -652,3 +652,96 @@ class TestDerivedMessages:
             calls = [node.func.id for node in ast.walk(_rsa_functions()[name])
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
             assert "NumberMessage" not in calls, name
+
+
+class TestTransformStream:
+    """transform_stream yields transform(msg, key) per message; a long stream under small primes switches to tables."""
+
+    # (factory of a fresh key, whether a 140-line stream builds its power tables)
+    KEYS = {
+        "n-f-p-q": (lambda: keygen(13, 17, 29).private_key, True),
+        "p-2": (lambda: keygen(2, 11, 7).private_key, True),
+        "q-2": (lambda: PrivateKey(22, 3, 11, 2), True),
+        "stream-key": (lambda: keygen(46337, 46327, 29).private_key, True),
+        "p-past-46340": (lambda: keygen(46349, 3, 5).private_key, False),
+        "n-f": (lambda: PrivateKey(221, 53), False),
+        "public": (lambda: PublicKey(221, 29), False),
+    }
+
+    @staticmethod
+    def _messages(n, lines, seed=0):
+        rng = random.Random(seed)
+        values = [[0, 1, n - 1], []] + [[rng.randrange(n) for _ in range(10)] for _ in range(lines)]
+        return [NumberMessage(v, n) for v in values]
+
+    @staticmethod
+    def _recording_pow(monkeypatch):
+        calls = []
+
+        def recording_pow(base, exp, mod=None):
+            calls.append((exp, mod))
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(rsa, "pow", recording_pow, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("name", KEYS)
+    def test_output_is_transform_of_each_message(self, name):
+        fresh, tabled = self.KEYS[name]
+        key = fresh()
+        messages = self._messages(key.n, 140)  # 1403 values, past the stream key's 1312
+        want = [rsa.transform(msg, fresh()) for msg in messages]
+        assert list(rsa.transform_stream(iter(messages), rsa.transform, key)) == want
+        assert ("_tabled" in getattr(key, "__dict__", {})) is tabled
+
+    @pytest.mark.parametrize("name", KEYS)
+    def test_an_empty_stream_builds_no_table(self, name):
+        key = self.KEYS[name][0]()
+        assert list(rsa.transform_stream(iter(()), rsa.transform, key)) == []
+        assert "_tabled" not in getattr(key, "__dict__", {})
+
+    def test_the_given_transform_runs_once_per_message(self):
+        # the CLI passes rsa.decrypt or rsa.sign, so a wrapper around them sees every message
+        seen = []
+
+        def recording(msg, key):
+            seen.append(msg)
+            return decrypt(msg, key)
+
+        messages = self._messages(221, 20)
+        list(rsa.transform_stream(messages, recording, keygen(13, 17, 29).private_key))
+        assert seen == messages
+
+    def test_the_switch_comes_after_a_quarter_of_the_break_even_values(self):
+        assert keygen(46337, 46327, 29).private_key._values_before_tables() == 25 + (46337 + 46327) // 72 == 1312
+        assert keygen(13, 17, 29).private_key._values_before_tables() == 25
+
+    def test_a_stream_of_the_switch_values_keeps_pow_and_one_more_message_builds(self, monkeypatch):
+        key = keygen(46337, 46327, 29).private_key  # keygen's own pow(e, -1, phi) comes before the patch
+        calls = self._recording_pow(monkeypatch)
+        messages = self._messages(key.n, 131)  # 3 + 1310 values: 1313, so drop one of the first message's
+        messages[0] = NumberMessage([0, 1], key.n)
+        stream = rsa.transform_stream(iter(messages + self._messages(key.n, 1, seed=1)[2:]), decrypt, key)
+        got = [next(stream) for _ in messages]
+        assert sum(len(msg.values) for msg in messages) == 1312
+        assert "_tabled" not in vars(key)
+        assert len(calls) == 1 + 2 * 1312  # q**-1 mod p, then a pow mod p and mod q per value
+        got += list(stream)
+        assert "_tabled" in vars(key)
+        assert len(calls) == 1 + 2 * 1312
+        fresh = keygen(46337, 46327, 29).private_key
+        assert got[:len(messages)] == [decrypt(msg, fresh) for msg in messages]
+
+    def test_pow_stops_at_the_switch_and_the_key_keeps_its_tables(self, monkeypatch):
+        key = keygen(46337, 46327, 29).private_key
+        calls = self._recording_pow(monkeypatch)
+        messages = self._messages(key.n, 340)  # 200 ten-value lines past the switch
+        got = list(rsa.transform_stream(messages, decrypt, key))
+        assert len(calls) == 1 + 2 * 1313  # the switch comes before the line after the first 1312 values
+        monkeypatch.undo()
+        fresh = keygen(46337, 46327, 29).private_key
+        assert got == [decrypt(msg, fresh) for msg in messages]
+        # the key keeps its tables, and still gives the same powers outside a stream
+        assert vars(key)["_powers"] is vars(key)["_tabled"]
+        assert [decrypt(msg, key) for msg in messages] == got
+        assert sign(messages[5], key) == sign(messages[5], fresh)
