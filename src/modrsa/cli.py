@@ -13,9 +13,9 @@ widths and then the rows. Message vectors come from an argument or, when
 omitted, one per line on standard input; stdin is processed line by line,
 so lines before a bad one are answered. Each stdin line comes from one
 read of at most MAX_LINE + 1 characters, and a longer line is refused.
-Plain stdin vectors go through rsa.transform_stream, so a private key
-with small primes powers a long stream from tables; an argument is
-powered value by value.
+Every message, an argument (a one-message stream) or a stdin line, goes
+through rsa.transform_stream, or rsa.decode_stream with --text, and a
+powered line of more than MAX_LINE characters is refused by its number.
 
 With --text, stdin is decoded by wire token: a transformed text is a
 substitution over at most 27 tokens, so each distinct token is parsed,
@@ -279,14 +279,28 @@ def _decode_stdin(stdin, transform, key):
         yield text
 
 
+def _csv_lines(powered, n, where):
+    """Yield each powered message as a csv line; one longer than MAX_LINE is a DomainError naming where.format(i).
+
+    where is a str.format template given the message's number. A value below n takes at most len(str(n - 1))
+    characters and a comma, so only a line whose bound passes MAX_LINE has its exact length counted, before it is built.
+    """
+    width = len(str(n - 1)) + 1
+    for i, msg in enumerate(powered, start=1):
+        values = msg.values
+        if len(values) * width - 1 > MAX_LINE and sum(map(len, map(str, values))) + len(values) - 1 > MAX_LINE:
+            raise DomainError(f"{where.format(i)}: an output line holds at most MAX_LINE = {MAX_LINE} characters")
+        yield _csv(values)
+
+
 def _cmd_power(args, stdin):
     """encrypt, sign, decrypt and verify: raise each message to the key's exponent.
 
-    The message comes from one of three sources: the vector of --numbers
-    (an argument for decrypt and verify), the text argument, or standard
-    input, one vector per line, each line read only after the one before
-    it is answered. With --text, stdin lines are decoded by _decode_stdin;
-    without, they go through rsa.transform_stream.
+    The messages come from --numbers (an argument for decrypt and verify)
+    or the text argument, one message each, or from standard input, one
+    vector per line, each read only after the one before it is answered.
+    All go to rsa.decode_stream with --text (stdin lines through
+    _decode_stdin), else to rsa.transform_stream and then _csv_lines.
     """
     from . import rsa
 
@@ -295,16 +309,17 @@ def _cmd_power(args, stdin):
     key = read_key_file(args.key, args.kind)
     transform = getattr(rsa, args.transform)
     if args.numbers is not None:
-        messages = [rsa.NumberMessage(args.numbers, key.n)]
+        messages, where = [rsa.NumberMessage(args.numbers, key.n)], "the argument"
     elif args.text is not None:
-        messages = [rsa.encode_text(args.text, key.n)]
+        messages, where = [rsa.encode_text(args.text, key.n)], "the argument"
     elif args.decode:
         return _decode_stdin(stdin, transform, key)
     else:
         messages = (rsa.NumberMessage(_stdin_vector(lineno, line), key.n) for lineno, line in _stdin_lines(stdin))
-        return map(_csv, rsa.transform_stream(messages, transform, key))
-    show = rsa.decode_text if args.decode else _csv
-    return (show(transform(msg, key)) for msg in messages)
+        where = "standard input line {}"  # the i-th message is stdin line i
+    if args.decode:
+        return rsa.decode_stream(messages, transform, key)
+    return _csv_lines(rsa.transform_stream(messages, transform, key), key.n, where)
 
 
 def _cmd_suggest_primes(args, stdin):

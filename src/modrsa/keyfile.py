@@ -17,6 +17,8 @@ _LINE = re.compile(r"([a-z]+) = (\S+)")
 
 _SCHEMA = {"public": PublicKey, "private": PrivateKey}  # kind -> key type
 
+MAX_KEY_FILE = 2**16  # the most characters a key file may hold; one that parses into a key is under 22 000
+
 
 def write_key_file(path, key) -> None:
     """Write a public or private key in the fixed line format.
@@ -54,15 +56,20 @@ def read_key_file(path, kind=None):
     strays from the format: malformed lines, unknown kinds, unknown or
     out-of-order keys, missing fields, non-decimal or oversized values.
     Then inconsistent values raise it, and last, when kind ("public" or
-    "private") is given, a file of the other kind.
+    "private") is given, a file of the other kind. A file of more than
+    MAX_KEY_FILE characters is refused before it is parsed, so no read is
+    larger than MAX_KEY_FILE + 1 characters.
     """
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
-            *lines, last = fh.read().split("\n")
+            text = fh.read(MAX_KEY_FILE + 1)
     except UnicodeDecodeError:
         raise KeyFileError(f"{path}: not 7-bit text") from None
     except OSError as exc:
         raise KeyFileError(f"{path}: cannot read key file ({exc.strerror})") from None
+    if len(text) > MAX_KEY_FILE:
+        raise KeyFileError(f"{path}: a key file holds at most MAX_KEY_FILE = {MAX_KEY_FILE} characters")
+    *lines, last = text.split("\n")
     if last:
         raise KeyFileError(f"{path}: line {len(lines) + 1}: missing newline terminator")
 

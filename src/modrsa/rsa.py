@@ -8,11 +8,12 @@ blocking. Encrypt, decrypt, sign and verify are one function, the map
 x -> x^k mod n, and the key decides k: e for a public key, f for a
 private one. A private key that carries both primes takes each power as
 two half-size powers recombined by CRT. transform_stream, which the CLI
-runs on stdin vectors, reads those half powers from a power table of each
-prime instead, when both primes are at most 46340 and the stream has
-powered enough values to pay for the tables. One letter per
-residue makes a transformed text a substitution cipher over 27 codes,
-so decode_stream, which is decode_text of each transformed message,
+runs on every message without --text, reads those half powers from a
+power table of each prime instead, when both primes are at most 46340
+and the stream has powered enough values to pay for the tables. The CLI
+runs decode_stream, which is decode_text of each transformed message,
+on every message with --text. One letter per residue makes a
+transformed text a substitution cipher over 27 codes, so decode_stream
 keeps a memo of at most 27 powers and powers each distinct value once.
 Nothing here is secure in any modern sense (no padding, no hashing,
 desk-scale primes); the point is to make the number theory visible, not

@@ -18,7 +18,7 @@ import modrsa
 from cli_cases import CASE_MAPPED_TO_ASCII, GOLDEN_CASES, GOLDEN_DIR, fill_argv, run_cli, write_standard_keys
 from modrsa import cli, modmath
 from modrsa.errors import DomainError
-from modrsa.keyfile import read_key_file
+from modrsa.keyfile import MAX_KEY_FILE, read_key_file, write_key_file
 from modrsa.modmath import Residue
 from modrsa.rsa import (
     ALPHABET,
@@ -1153,6 +1153,21 @@ class TestStdinPowerTables:
         assert (code, err) == (0, "")
         assert sorted(mod for exp, mod in pows if exp != -1) == [13] * values + [17] * values
 
+    def test_a_one_shot_text_vector_powers_each_distinct_value_once(self, pows, keys):
+        code, out, err = run_cli(["decrypt", "--key", keys["priv221"], "60,122,116,116,19", "--text"])
+        assert (code, out, err) == (0, "HELLO\n", "")
+        # through decode_stream, as --text streams go: 116 appears twice and is powered once
+        assert sorted(mod for exp, mod in pows if exp != -1) == [13] * 4 + [17] * 4
+
+    def test_a_one_shot_vector_past_the_switch_builds_no_table(self, pows, keys, monkeypatch):
+        tables = []
+        monkeypatch.setattr(modmath, "power_table", lambda p, d: tables.append(p))
+        values = list(range(1, 41))  # priv221 switches at 25, but only before a stream's next message
+        code, out, err = run_cli(["decrypt", "--key", keys["priv221"], ",".join(map(str, values))])
+        assert (code, out, err) == (0, ",".join(str(pow(v, 53, 221)) for v in values) + "\n", "")
+        assert sorted(mod for exp, mod in pows if exp != -1) == [13] * 40 + [17] * 40
+        assert tables == []
+
     def test_the_transform_sees_every_line(self, monkeypatch, keys):
         # the stream goes through rsa.decrypt, so a wrapper on it (a tracing span) sees each message
         from modrsa import rsa
@@ -1163,3 +1178,68 @@ class TestStdinPowerTables:
         code, _, err = run_cli(["decrypt", "--key", keys["priv221"]], "1,2\n3\n\n4,5,6\n")
         assert (code, err) == (0, "")
         assert seen == [(1, 2), (3,), (), (4, 5, 6)]
+
+
+class TestOnePowerPath:
+    """Every message of encrypt, decrypt, sign and verify reaches the key through a stream function of rsa."""
+
+    STREAMS = {"rsa.transform_stream", "rsa.decode_stream", "_decode_stdin"}
+
+    def test_cmd_power_ends_in_a_stream_function(self):
+        (power,) = [node for name, node in _cli_top_level() if name == "_cmd_power"]
+        called = {ast.unparse(node.func) for node in ast.walk(power) if isinstance(node, ast.Call)}
+        assert self.STREAMS <= called
+        returns = [node for node in ast.walk(power) if isinstance(node, ast.Return)]
+        assert len(returns) == 3
+        for ret in returns:
+            assert {ast.unparse(node.func) for node in ast.walk(ret) if isinstance(node, ast.Call)} & self.STREAMS
+
+    def test_cli_never_calls_a_transform_or_decode_text_itself(self):
+        called = {
+            ast.unparse(node.func).rpartition(".")[2]
+            for _, top in _cli_top_level() for node in ast.walk(top) if isinstance(node, ast.Call)
+        }
+        assert not called & {"transform", "decode_text", "encrypt", "decrypt", "sign", "verify"}
+
+
+class TestStdinOutputLineBound:
+    """A powered line of more than MAX_LINE characters is refused with its stdin line, after the lines before it."""
+
+    def test_max_line_characters_pass_and_one_more_is_refused(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LINE", 19)
+        # under n = 1000 a line of five values is at most 19 characters; ten values of 1 are 19 exactly
+        messages = [(999,) * 5, (1,) * 10, (1,) * 9 + (10,), (1,)]
+        lines = cli._csv_lines((NumberMessage(values, 1000) for values in messages), 1000, "standard input line {}")
+        assert list(itertools.islice(lines, 2)) == [",".join(["999"] * 5), ",".join(["1"] * 10)]
+        with pytest.raises(DomainError) as info:
+            next(lines)
+        assert str(info.value) == "standard input line 3: an output line holds at most MAX_LINE = 19 characters"
+
+    def test_an_argument_message_is_bounded_too(self, monkeypatch, keys):
+        monkeypatch.setattr(cli, "MAX_LINE", 10)
+        assert pow(2, 29, 221) == 32
+        assert run_cli(["encrypt", "--key", keys["pub221"], "--numbers", "2,2,2,2,2,2"]) == (
+            2, "", "error: the argument: an output line holds at most MAX_LINE = 10 characters\n"
+        )
+        assert run_cli(["encrypt", "--key", keys["pub221"], "--numbers", "2,2,2,1"]) == (0, "32,32,32,1\n", "")
+
+    def test_a_long_decrypted_line_is_refused_in_256_mib(self, tmp_path):
+        # the benchmark's stream key; 2**21 values 2 are a 4 MiB line in, but about 23 MB out, since 2 powers
+        # to ten digits. The first line, of 1312 values, reaches the key's switch, so the long one is powered
+        # from tables: about 1.5 s in all, against 4.5 s by pow
+        key, path = keygen(46337, 46327, 29).private_key, tmp_path / "priv.txt"
+        write_key_file(path, key)
+        first = [3] * 1312
+        stdin = ",".join(map(str, first)) + "\n" + ",".join(["2"] * 2**21) + "\n" + "1\n"
+        proc = _run_capped(256, ["decrypt", "--key", str(path)], input=stdin, capture_output=True, timeout=60)
+        message = f"error: standard input line 2: an output line holds at most MAX_LINE = {cli.MAX_LINE} characters\n"
+        assert (proc.returncode, proc.stderr) == (2, message)
+        assert proc.stdout == ",".join(str(pow(v, key.f, key.n)) for v in first) + "\n"
+
+
+def test_an_endless_key_file_is_refused_in_256_mib():
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    proc = _run_capped(256, ["decrypt", "--key", "/dev/zero", "1"], capture_output=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: /dev/zero: a key file holds at most MAX_KEY_FILE = {MAX_KEY_FILE} characters\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import modrsa
 from modrsa.errors import KeyFileError
-from modrsa.keyfile import read_key_file, write_key_file
+from modrsa.keyfile import MAX_KEY_FILE, read_key_file, write_key_file
 from modrsa.rsa import PrivateKey, PublicKey, keygen
 
 
@@ -293,3 +293,18 @@ def test_a_write_onto_a_directory_removes_its_temporary_file(tmp_path):
     assert str(info.value) == f"{target}: cannot write key file (Is a directory)"
     assert sorted(os.listdir(tmp_path)) == ["keys"]
     assert os.listdir(target) == ["inside.txt"] and (target / "inside.txt").read_text(encoding="ascii") == "kept\n"
+
+
+def test_a_key_file_past_max_key_file_characters_is_refused(tmp_path):
+    # a file of MAX_KEY_FILE characters is parsed and gets its own error; one character more is not parsed
+    head = b"kind = public\nn = 221\ne = "
+    path = tmp_path / "key.txt"
+    path.write_bytes(head + b"7" * (MAX_KEY_FILE - len(head) - 1) + b"\n")
+    assert path.stat().st_size == MAX_KEY_FILE == 2**16
+    with pytest.raises(KeyFileError) as info:
+        read_key_file(path)
+    assert str(info.value) == f"{path}: line 3: value for 'e' has too many digits"
+    path.write_bytes(head + b"7" * (MAX_KEY_FILE - len(head)) + b"\n")
+    with pytest.raises(KeyFileError) as info:
+        read_key_file(path)
+    assert str(info.value) == f"{path}: a key file holds at most MAX_KEY_FILE = {MAX_KEY_FILE} characters"
