@@ -3,9 +3,9 @@
 The library splits into four parts:
 
 - modmath: residue arithmetic, Euclid and extended Euclid, fast powers,
-  trial-division factoring with phi and square-free tests, critical
-  exponents, CRT coordinates and their recombination, and a prime's power
-  table
+  trial-division factoring with the primality, phi and square-free tests,
+  critical exponents, CRT coordinates and their recombination, a prime's
+  power table, and results bounded by MAX_RESULT
 - oracle: deliberately naive mirrors of the above, used as ground truth
 - rsa: key generation, the 27-letter codec, encrypt/decrypt/sign/verify,
   decode_stream, which decodes transformed texts behind a memo of powers,

@@ -10,7 +10,9 @@ three-argument pow is square-and-multiply, pow(x, -1, n) and math.gcd are
 Euclid. extended_gcd takes its certificate from them too. The paper's
 Euclid loop is the generator euclid_rows, one table row at a time, and
 EuclidTrace.rows is its tuple, built when first read. One trial-division
-factoriser, prime_factors, serves primality, square-freeness and phi.
+factoriser, prime_factors, serves primality, square-freeness and phi, and
+is_prime is the one primality test. A result that grows with its
+arguments holds at most MAX_RESULT numbers.
 
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
@@ -36,6 +38,9 @@ from .errors import (
 )
 
 MAX_MODULUS = 2**31 - 1
+# the most numbers a library result holds, 2**20: primes_in_range's window, mul_table's cells,
+# critical_exponents' values and their 64-bit words; the CLI's widest suggest-primes window is this size
+MAX_RESULT = 2**20
 # the largest p power_table takes, 46340: the smaller factor of every modulus is no larger
 MAX_TABLE = math.isqrt(MAX_MODULUS)
 
@@ -214,9 +219,12 @@ def mul_table(n) -> list[list[Residue]]:
 
     Entry [i][j] holds (i+1) * (j+1) mod n, i.e. rows and columns are
     labelled 1..n-1 and the zero row is omitted, as these tables are
-    usually presented.
+    usually presented. A table of more than MAX_RESULT cells is refused
+    before any is built.
     """
     m = _as_modulus(n)
+    if (m.n - 1) ** 2 > MAX_RESULT:
+        raise ValueError(f"a table holds at most MAX_RESULT = {MAX_RESULT} cells, got {(m.n - 1) ** 2}")
     return [[Residue(i * j % m.n, m) for j in range(1, m.n)] for i in range(1, m.n)]
 
 
@@ -364,7 +372,7 @@ def power_table(p: int, d: int):
     """
     _check_int("p", p)
     _check_int("d", d)
-    if not 2 <= p <= MAX_TABLE or next(prime_factors(p)) != p:
+    if not (2 <= p <= MAX_TABLE and is_prime(p)):
         raise ValueError(f"power tables are built for primes up to {MAX_TABLE}, got p = {p}")
     if d < 0:
         raise ValueError("exponent must be >= 0")
@@ -402,6 +410,15 @@ def prime_factors(n: int):
         yield n
 
 
+def is_prime(n: int) -> bool:
+    """n is its own smallest prime factor; n < 2 is not prime.
+
+    Trial division stops at the first factor, so composites are cheap.
+    """
+    _check_int("n", n)
+    return n >= 2 and next(prime_factors(n)) == n
+
+
 def phi(n) -> int:
     """Number of units modulo n: n times (1 - 1/p) over its distinct primes p."""
     n = _as_modulus(n).n
@@ -424,7 +441,10 @@ def critical_exponents(n: int, phi: int, count: int) -> list[int]:
 
     These are the powers p for which x**p = x holds for every residue,
     provided n is square-free; non-square-free n is rejected. phi is taken
-    as an argument so the caller chooses how it was obtained.
+    as an argument so the caller chooses how it was obtained. A result of
+    more than MAX_RESULT values, or of more than MAX_RESULT 64-bit words
+    counted by its largest value, is refused before it is built, whatever
+    phi is.
     """
     _check_int("phi", phi)
     _check_int("count", count)
@@ -434,6 +454,8 @@ def critical_exponents(n: int, phi: int, count: int) -> list[int]:
         raise ValueError("phi must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_RESULT or count * ((1 + (count - 1) * phi).bit_length() // 64 + 1) > MAX_RESULT:
+        raise ValueError(f"a result holds at most MAX_RESULT = {MAX_RESULT} values, and as many 64-bit words")
     return [1 + k * phi for k in range(count)]
 
 

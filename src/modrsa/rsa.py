@@ -1,23 +1,23 @@
 """Textbook RSA over small moduli.
 
-Key generation from caller-chosen primes (checked by trial division,
+Key generation from caller-chosen primes (checked by modmath.is_prime,
 after the modulus bound), prime ranges by a one-pass sieve of
-Eratosthenes over the window, the 27-symbol letter codec, and the
-encrypt/decrypt/sign/verify protocol, one letter per residue with no
-blocking. Encrypt, decrypt, sign and verify are one function, the map
-x -> x^k mod n, and the key decides k: e for a public key, f for a
-private one. A private key that carries both primes takes each power as
-two half-size powers recombined by CRT. transform_stream, which the CLI
-runs on every message without --text, reads those half powers from a
-power table of each prime instead, when both primes are at most 46340
-and the stream has powered enough values to pay for the tables. The CLI
-runs decode_stream, which is decode_text of each transformed message,
-on every message with --text. One letter per residue makes a
-transformed text a substitution cipher over 27 codes, so decode_stream
-keeps a memo of at most 27 powers and powers each distinct value once.
-Nothing here is secure in any modern sense (no padding, no hashing,
-desk-scale primes); the point is to make the number theory visible, not
-to protect data.
+Eratosthenes over a window of at most modmath.MAX_RESULT numbers, the
+27-symbol letter codec, and the encrypt/decrypt/sign/verify protocol,
+one letter per residue with no blocking. Encrypt, decrypt, sign and
+verify are one function, the map x -> x^k mod n, and the key decides k:
+e for a public key, f for a private one. A private key that carries both
+primes takes each power as two half-size powers recombined by CRT.
+transform_stream, which the CLI runs on every message without --text,
+reads those half powers from a power table of each prime instead, when
+both primes are at most 46340 and the stream has powered enough values
+to pay for the tables. The CLI runs decode_stream, which is decode_text
+of each transformed message, on every message with --text. One letter
+per residue makes a transformed text a substitution cipher over 27
+codes, so decode_stream keeps a memo of at most 27 powers and powers
+each distinct value once. Nothing here is secure in any modern sense (no
+padding, no hashing, desk-scale primes); the point is to make the number
+theory visible, not to protect data.
 """
 
 import itertools
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedCharacterError,
     ValueOutOfAlphabetError,
 )
-from .modmath import Value as _Value, _new
+from .modmath import Value as _Value, _new, is_prime
 
 # A = 1, B = 2, ..., Z = 26, space = 27.
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "
@@ -53,21 +53,14 @@ _CODE = {ch: code for code, letter in _LETTER.items() for ch in (letter, letter.
 MIN_TEXT_MODULUS = len(ALPHABET) + 1
 
 
-def is_prime(n: int) -> bool:
-    """n is its own smallest prime factor; n < 2 is not prime.
-
-    Trial division stops at the first factor, so composites are cheap.
-    """
-    modmath._check_int("n", n)
-    return n >= 2 and next(modmath.prime_factors(n)) == n
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi; hi may not exceed MAX_MODULUS.
 
     A sieve of Eratosthenes over the window in one pass: the primes up to
     sqrt(hi), found by the same sieve, cross off their multiples in a
-    bytearray of one byte per number from lo to hi.
+    bytearray of one byte per number from lo to hi. A window of more than
+    modmath.MAX_RESULT numbers from max(lo, 2) to hi is refused before
+    that bytearray is made.
     """
     if hi > modmath.MAX_MODULUS:
         raise ValueError(f"primes are searched up to 2**31 - 1, got hi = {hi}")
@@ -75,6 +68,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if lo > hi:
         return []
     size = hi + 1 - lo
+    if size > modmath.MAX_RESULT:
+        raise ValueError(f"a window holds at most MAX_RESULT = {modmath.MAX_RESULT} numbers, got {size}")
     window = bytearray([1]) * size
     for p in primes_in_range(2, math.isqrt(hi)):
         # offset of the first multiple of p to cross off: p*p, or the first in the window

@@ -1009,6 +1009,17 @@ def test_the_longest_table_lines_fit_in_96_mib():
     assert (header[:6], row[:6], row[6:]) == ("     x", "     1", header[6:])
 
 
+def test_the_widest_suggest_primes_window_is_answered_in_256_mib():
+    # 2**20 = modmath.MAX_RESULT numbers below 10**7, the widest window MAX_LINE lets through;
+    # pi(9999999) - pi(8951423) = 664579 - 599451 primes
+    lo, hi = 8951424, 9999999
+    proc = _run_capped(256, ["suggest-primes", str(lo), str(hi)], capture_output=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ",".join(map(str, primes_in_range(lo, hi))) + "\n"
+    primes = proc.stdout.split(",")
+    assert (len(primes), primes[0], primes[-1]) == (65128, "8951441", "9999991\n")
+
+
 class TestStreamedEuclidTable:
     """gcd --extended passes over the Euclid table twice and holds one row at a time."""
 

@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -463,6 +465,39 @@ class TestSharedFactoriser:
         with pytest.raises(NotAUnitError) as exc:
             inverse(res(46337, 46337 * 46327))
         assert exc.value.gcd == 46337
+
+
+def _calls_in_functions(tree):
+    """Yield (function name, call) for every call inside a function of the parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    yield node.name, call
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+class TestOnePrimalityTest:
+    """modmath.is_prime is the one primality test: the one `next(prime_factors(...))` in the package."""
+
+    def test_only_is_prime_asks_for_the_first_factor(self):
+        askers = set()
+        for path in Path(modmath.__file__).parent.glob("*.py"):
+            for name, call in _calls_in_functions(ast.parse(path.read_text())):
+                first = call.args[0] if call.args else None
+                if _callee(call) == "next" and isinstance(first, ast.Call) and _callee(first) == "prime_factors":
+                    askers.add((path.stem, name))
+        assert askers == {("modmath", "is_prime")}
+
+    def test_power_table_tests_p_with_is_prime(self):
+        tree = ast.parse(Path(modmath.__file__).read_text())
+        assert "is_prime" in {_callee(call) for name, call in _calls_in_functions(tree) if name == "power_table"}
+
+    def test_rsa_serves_the_same_function(self):
+        assert rsa.is_prime is modmath.is_prime
 
 
 @pytest.mark.parametrize("call, message", [
