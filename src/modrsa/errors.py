@@ -7,6 +7,8 @@ witnesses in `fields` and words its message in `template`, a str.format
 string over them. The witnesses are the error's args and attributes; the
 message is rendered when shown, with an int past the interpreter's digit
 limit as its digit count. A class without fields takes the message itself.
+Every refusal the package raises, a DomainError or a library ValueError,
+shows its int witnesses through the one renderer, _shown.
 """
 
 import math

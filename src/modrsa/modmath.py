@@ -11,8 +11,9 @@ Euclid. extended_gcd takes its certificate from them too. The paper's
 Euclid loop is the generator euclid_rows, one table row at a time, and
 EuclidTrace.rows is its tuple, built when first read. One trial-division
 factoriser, prime_factors, serves primality, square-freeness and phi, and
-is_prime is the one primality test. A result that grows with its
-arguments holds at most MAX_RESULT numbers.
+is_prime is the one primality test. prime_factors refuses n past
+MAX_MODULUS, so each of them answers within about 23 170 trial divisions.
+A result that grows with its arguments holds at most MAX_RESULT numbers.
 
 Every type in this module is an immutable value and every operation is a
 pure function, so the whole surface is safe for unrestricted concurrent use.
@@ -35,6 +36,7 @@ from .errors import (
     NotAUnitError,
     NotSquareFreeError,
     UndefinedGcdError,
+    _shown,
 )
 
 MAX_MODULUS = 2**31 - 1
@@ -154,7 +156,7 @@ class Residue(Value, namedtuple("Residue", "value modulus")):
         if not isinstance(self.modulus, Modulus):
             raise TypeError(f"residue modulus must be a Modulus, got {self.modulus!r}")
         if not 0 <= self.value < self.modulus.n:
-            raise ValueError(f"{self.value} is not a canonical residue mod {self.modulus.n}")
+            raise ValueError(f"{_shown(self.value)} is not a canonical residue mod {self.modulus.n}")
 
     def _coerce(self, other) -> "Residue":
         if isinstance(other, Residue):
@@ -269,7 +271,8 @@ class EuclidTrace(Value, namedtuple("EuclidTrace", "x y rows", defaults=(None,))
 
     The n column strictly decreases and ends at 0. Built from (x, y)
     alone, as extended_gcd does, the trace runs that loop the first time
-    its rows are read.
+    its rows are read. The rows are then held whole, so their memory grows
+    with the square of the inputs' digits; euclid_rows is the streamed path.
     """
 
     @cached_property
@@ -373,7 +376,7 @@ def power_table(p: int, d: int):
     _check_int("p", p)
     _check_int("d", d)
     if not (2 <= p <= MAX_TABLE and is_prime(p)):
-        raise ValueError(f"power tables are built for primes up to {MAX_TABLE}, got p = {p}")
+        raise ValueError(f"power tables are built for primes up to {MAX_TABLE}, got p = {_shown(p)}")
     if d < 0:
         raise ValueError("exponent must be >= 0")
     from array import array  # on first use, so importing modmath stays cheap
@@ -392,14 +395,18 @@ def power_table(p: int, d: int):
 
 
 def prime_factors(n: int):
-    """Prime factors of n >= 1, ascending, with multiplicity.
+    """Prime factors of 1 <= n <= MAX_MODULUS, ascending, with multiplicity.
 
     Trial division by 2 and then by the odd numbers up to the square root
     of what is left; a generator, so a caller can stop at the first factor.
+    A larger n is refused before any division, so no call makes more than
+    about 23 170 of them.
     """
     _check_int("n", n)
     if n < 1:
         raise ValueError("prime factors are defined for n >= 1")
+    if n > MAX_MODULUS:
+        raise ValueError(f"prime factors are found for n up to 2**31 - 1, got n = {_shown(n)}")
     for d in itertools.chain((2,), itertools.count(3, 2)):
         if d * d > n:
             break
@@ -414,6 +421,7 @@ def is_prime(n: int) -> bool:
     """n is its own smallest prime factor; n < 2 is not prime.
 
     Trial division stops at the first factor, so composites are cheap.
+    n >= 2 past MAX_MODULUS is refused by prime_factors, before any division.
     """
     _check_int("n", n)
     return n >= 2 and next(prime_factors(n)) == n
@@ -429,7 +437,7 @@ def phi(n) -> int:
 
 
 def is_square_free(n: int) -> bool:
-    """True when no squared prime divides n, i.e. no prime factor repeats."""
+    """True when no squared prime divides n, i.e. no prime factor repeats; 2 <= n <= MAX_MODULUS."""
     _check_int("n", n)
     if n < 2:
         raise ValueError("square-freeness is defined for n >= 2")
@@ -440,8 +448,9 @@ def critical_exponents(n: int, phi: int, count: int) -> list[int]:
     """The first `count` exponents of the progression 1, 1+phi, 1+2*phi, ...
 
     These are the powers p for which x**p = x holds for every residue,
-    provided n is square-free; non-square-free n is rejected. phi is taken
-    as an argument so the caller chooses how it was obtained. A result of
+    provided n is square-free; non-square-free n is rejected, and n past
+    MAX_MODULUS is refused by is_square_free before any division. phi is
+    taken as an argument so the caller chooses how it was obtained. A result of
     more than MAX_RESULT values, or of more than MAX_RESULT 64-bit words
     counted by its largest value, is refused before it is built, whatever
     phi is.

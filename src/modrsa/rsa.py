@@ -37,6 +37,7 @@ from .errors import (
     NonPrimeError,
     UnsupportedCharacterError,
     ValueOutOfAlphabetError,
+    _shown,
 )
 from .modmath import Value as _Value, _new, is_prime
 
@@ -63,7 +64,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     that bytearray is made.
     """
     if hi > modmath.MAX_MODULUS:
-        raise ValueError(f"primes are searched up to 2**31 - 1, got hi = {hi}")
+        raise ValueError(f"primes are searched up to 2**31 - 1, got hi = {_shown(hi)}")
     lo = max(lo, 2)
     if lo > hi:
         return []
@@ -81,7 +82,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def phi_semiprime(p: int, q: int) -> int:
     """Unit count (p-1)*(q-1) for a modulus built from distinct primes."""
-    # bound the modulus first, so trial division never runs on huge inputs
+    # bound the modulus first, so a p * q past the cap is reported as such before either prime test
     if p * q > modmath.MAX_MODULUS:
         raise InvalidModulusError(p * q)
     if not is_prime(p):
@@ -110,7 +111,7 @@ class PublicKey(_Value, namedtuple("PublicKey", "n e")):
         modmath.check_modulus(self.n)
         _check_ints(self)
         if self.e <= 1:
-            raise ValueError(f"public exponent must be > 1, got {self.e}")
+            raise ValueError(f"public exponent must be > 1, got {_shown(self.e)}")
 
     def _powers(self, values):  # values -> their e-th powers mod n, as PrivateKey._powers gives f-th
         e, n = self.e, self.n
@@ -134,20 +135,20 @@ class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None,
         modmath.check_modulus(self.n)
         _check_ints(self)
         if self.f <= 1:
-            raise ValueError(f"private exponent must be > 1, got {self.f}")
+            raise ValueError(f"private exponent must be > 1, got {_shown(self.f)}")
         p, q, phi = self.p, self.q, self.phi
         for name, factor in (("p", p), ("q", q)):
             if factor is not None and not (1 < factor < self.n and self.n % factor == 0):
-                raise ValueError(f"{name} = {factor} is not a proper factor of n = {self.n}")
+                raise ValueError(f"{name} = {_shown(factor)} is not a proper factor of n = {self.n}")
         both = p is not None and q is not None
         if both:
             if p * q != self.n:
                 raise ValueError(f"n = {self.n} is not p*q = {p * q}")
             if phi is not None and phi != (p - 1) * (q - 1):
-                raise ValueError(f"phi = {phi} is not (p-1)(q-1) = {(p - 1) * (q - 1)}")
+                raise ValueError(f"phi = {_shown(phi)} is not (p-1)(q-1) = {(p - 1) * (q - 1)}")
             phi = (p - 1) * (q - 1)  # the factors imply phi, written or not
         if phi is not None and math.gcd(self.f, phi) != 1:
-            raise ValueError(f"private exponent {self.f} is not a unit mod phi = {phi}")
+            raise ValueError(f"private exponent {_shown(self.f)} is not a unit mod phi = {_shown(phi)}")
         if both:
             phi_semiprime(p, q)
 
