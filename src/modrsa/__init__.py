@@ -12,85 +12,40 @@ The library splits into four parts:
   and transform_stream, which powers a long stream by per-prime power tables
 - cli / keyfile: command-line front end and the flat key file format
 
-modmath and the error types load with the package. rsa, keyfile, oracle
-and the key and message types (NumberMessage, PublicKey, PrivateKey,
-RsaKeyPair) are imported on first access (PEP 562), so a command that
-needs no RSA code does not load it; `from modrsa import PrivateKey` and
-`modrsa.rsa` work as usual.
+Importing the package loads none of them. Every public name, and the
+submodules errors, keyfile, modmath, oracle and rsa, is served on first
+access (PEP 562), so a command loads only the modules it uses;
+`from modrsa import PrivateKey` and `modrsa.rsa` work as usual.
 """
-
-from . import modmath
-from .errors import (
-    DomainError,
-    EqualPrimesError,
-    ExponentNotUnitError,
-    ExponentOutOfRangeError,
-    InvalidModulusError,
-    KeyFileError,
-    MessageRangeError,
-    ModulusMismatchError,
-    ModulusTooSmallError,
-    NonPrimeError,
-    NotAUnitError,
-    NotSquareFreeError,
-    UndefinedGcdError,
-    UnsupportedCharacterError,
-    ValueOutOfAlphabetError,
-)
-from .modmath import (
-    BezoutCertificate,
-    EuclidTrace,
-    Modulus,
-    Residue,
-    ResidueClass,
-    TraceRow,
-)
 
 __version__ = "0.1.0"
 
-# served on first access (PEP 562), so a command that needs none of them skips their import
-_LAZY_MODULES = {"keyfile", "oracle", "rsa"}
-_RSA_NAMES = {"NumberMessage", "PublicKey", "PrivateKey", "RsaKeyPair"}
+# each public name under the module that defines it
+_NAMES = {
+    "modmath": ("Modulus", "Residue", "ResidueClass", "TraceRow", "EuclidTrace", "BezoutCertificate"),
+    "rsa": ("NumberMessage", "PublicKey", "PrivateKey", "RsaKeyPair"),
+    "errors": (
+        "DomainError", "InvalidModulusError", "ModulusMismatchError", "NotAUnitError", "UndefinedGcdError",
+        "NotSquareFreeError", "NonPrimeError", "EqualPrimesError", "ExponentOutOfRangeError",
+        "ExponentNotUnitError", "UnsupportedCharacterError", "ValueOutOfAlphabetError", "ModulusTooSmallError",
+        "MessageRangeError", "KeyFileError",
+    ),
+}
+_SUBMODULES = ("errors", "keyfile", "modmath", "oracle", "rsa")
+
+__all__ = ["modmath", "oracle", "rsa", "keyfile", *(name for names in _NAMES.values() for name in names)]
 
 
 def __getattr__(name):
     import importlib
 
-    if name in _LAZY_MODULES:
+    if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _RSA_NAMES:
-        return getattr(importlib.import_module(f"{__name__}.rsa"), name)
+    for home, names in _NAMES.items():
+        if name in names:
+            return getattr(importlib.import_module(f"{__name__}.{home}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "modmath",
-    "oracle",
-    "rsa",
-    "keyfile",
-    "Modulus",
-    "Residue",
-    "ResidueClass",
-    "TraceRow",
-    "EuclidTrace",
-    "BezoutCertificate",
-    "NumberMessage",
-    "PublicKey",
-    "PrivateKey",
-    "RsaKeyPair",
-    "DomainError",
-    "InvalidModulusError",
-    "ModulusMismatchError",
-    "NotAUnitError",
-    "UndefinedGcdError",
-    "NotSquareFreeError",
-    "NonPrimeError",
-    "EqualPrimesError",
-    "ExponentOutOfRangeError",
-    "ExponentNotUnitError",
-    "UnsupportedCharacterError",
-    "ValueOutOfAlphabetError",
-    "ModulusTooSmallError",
-    "MessageRangeError",
-    "KeyFileError",
-]
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -25,6 +25,8 @@ handler returns or yields its output lines, without newlines, and run()
 alone writes them, each in one call, so an unbuffered stdout makes one
 write per line. main() freezes the heap before the process exits, so the
 interpreter does not collect what the operating system is about to reclaim.
+An interrupted command (Ctrl-C) flushes what it wrote and ends by SIGINT,
+with no traceback.
 """
 
 import argparse
@@ -92,10 +94,10 @@ def read_key_file(path, kind):
     return read_key_file(path, kind)
 
 
-def write_key_file(path, key) -> None:
-    from .keyfile import write_key_file
+def write_key_file(*pairs) -> None:
+    from .keyfile import write_key_files  # each (path, key), all or none of them
 
-    write_key_file(path, key)
+    write_key_files(pairs)
 
 
 def _csv(values) -> str:
@@ -219,10 +221,9 @@ def _cmd_keygen(args, stdin):
     from . import rsa
 
     pair = rsa.keygen(args.p, args.q, args.e)
-    if args.pub:
-        write_key_file(args.pub, pair.public_key)
-    if args.priv:
-        write_key_file(args.priv, pair.private_key)
+    files = [(path, key) for path, key in ((args.pub, pair.public_key), (args.priv, pair.private_key)) if path]
+    if files:
+        write_key_file(*files)
     return [f"{name} = {getattr(pair, name)}" for name in pair._fields]
 
 
@@ -467,7 +468,18 @@ def _output_failed(err, stderr) -> int:
 
 
 def main() -> None:
-    code = run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+    except KeyboardInterrupt:  # Ctrl-C: no traceback, and the caller still sees the process end by SIGINT
+        import signal
+
+        try:
+            sys.stdout.flush()
+        except OSError:
+            pass
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        raise SystemExit(128 + signal.SIGINT)  # where the signal did not end the process
     try:
         sys.stdout.flush()
     except OSError as err:

@@ -28,25 +28,38 @@ def write_key_file(path, key) -> None:
     earlier file at path whole. Raises KeyFileError, naming the path, when
     the file cannot be written.
     """
-    import tempfile  # here, not at the top, so only commands that write keys pay for its import
+    write_key_files([(path, key)])
 
-    kind = next((kind for kind, key_type in _SCHEMA.items() if isinstance(key, key_type)), None)
-    if kind is None:
-        raise TypeError(f"expected PublicKey or PrivateKey, got {type(key).__name__}")
-    pairs = [("kind", kind)] + [(name, getattr(key, name)) for name in key._fields]
-    text = "".join(f"{k} = {v}\n" for k, v in pairs if v is not None)
+
+def write_key_files(pairs) -> None:
+    """Write each (path, key) of pairs as write_key_file does, all or none of them: every key is staged in a
+    temporary file beside its path before any path is replaced, and a failure before the first replace removes
+    every staged file. Only a failure between two replaces leaves the paths before it written."""
+    import errno, tempfile  # here, not at the top, so only commands that write keys pay for tempfile's import
+
+    staged = []  # (temporary, path) of each file not yet in place, in order
     try:
-        directory, name = os.path.split(path)
-        fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or os.curdir)
-        try:
+        for path, key in pairs:
+            kind = next((kind for kind, key_type in _SCHEMA.items() if isinstance(key, key_type)), None)
+            if kind is None:
+                raise TypeError(f"expected PublicKey or PrivateKey, got {type(key).__name__}")
+            fields = [("kind", kind)] + [(name, getattr(key, name)) for name in key._fields]
+            if os.path.isdir(path) and not os.path.islink(path):  # the replace would fail, after earlier ones
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            directory, name = os.path.split(path)
+            fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or os.curdir)
+            staged.append((tmp, path))
             with open(fd, "w", encoding="ascii", newline="") as fh:
-                fh.write(text)
+                fh.write("".join(f"{k} = {v}\n" for k, v in fields if v is not None))
+        while staged:
+            tmp, path = staged[0]
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            del staged[0]
     except OSError as exc:
         raise KeyFileError(f"{path}: cannot write key file ({exc.strerror})") from None
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
 
 
 def read_key_file(path, kind=None):

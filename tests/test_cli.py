@@ -1254,3 +1254,45 @@ def test_an_endless_key_file_is_refused_in_256_mib():
     proc = _run_capped(256, ["decrypt", "--key", "/dev/zero", "1"], capture_output=True, timeout=30)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: /dev/zero: a key file holds at most MAX_KEY_FILE = {MAX_KEY_FILE} characters\n"
+
+
+class TestInterrupt:
+    """Ctrl-C ends a command by SIGINT, as the shell expects, with nothing on stderr."""
+
+    def test_an_interrupted_table_ends_by_sigint_without_a_traceback(self):
+        pytest.importorskip("resource")
+        import signal
+
+        proc = subprocess.Popen([sys.executable, "-c", _CAPPED, "table", "599186"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+        watchdog = threading.Timer(20, proc.kill)
+        watchdog.start()
+        try:
+            first = proc.stdout.read(6)  # the child is writing its output: main() is inside run()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate()
+        finally:
+            watchdog.cancel()
+            proc.kill()
+        assert first == "     x"
+        assert (proc.returncode, err) == (-signal.SIGINT, "")
+
+
+class TestKeygenAllOrNothing:
+    """keygen --pub --priv replaces both key files or neither."""
+
+    @pytest.mark.parametrize("files", [
+        ["--pub", "pub.txt", "--priv", "privdir"],
+        ["--priv", "privdir", "--pub", "pub.txt"],
+        ["--pub", "privdir", "--priv", "priv.txt"],
+    ], ids=["priv-is-a-directory", "flags-swapped", "pub-is-a-directory"])
+    def test_a_failed_write_leaves_every_key_file_as_it_was(self, files, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["keygen", "--p", "13", "--q", "17", "--e", "29", "--pub", "pub.txt", "--priv", "priv.txt"])[0] == 0
+        (tmp_path / "privdir").mkdir()
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        code, out, err = run_cli(["keygen", "--p", "11", "--q", "23", "--e", "3", *files])
+        assert (code, out, err) == (2, "", "error: privdir: cannot write key file (Is a directory)\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+        assert sorted(os.listdir(tmp_path)) == ["priv.txt", "privdir", "pub.txt"]
+        assert os.listdir(tmp_path / "privdir") == []

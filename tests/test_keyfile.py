@@ -308,3 +308,13 @@ def test_a_key_file_past_max_key_file_characters_is_refused(tmp_path):
     with pytest.raises(KeyFileError) as info:
         read_key_file(path)
     assert str(info.value) == f"{path}: a key file holds at most MAX_KEY_FILE = {MAX_KEY_FILE} characters"
+
+
+def test_a_key_files_write_that_fails_before_any_replace_writes_none(tmp_path):
+    from modrsa.keyfile import write_key_files
+
+    (tmp_path / "pub.txt").write_text("kept\n", encoding="ascii")
+    with pytest.raises(TypeError):
+        write_key_files([(tmp_path / "pub.txt", PublicKey(221, 29)), (tmp_path / "priv.txt", "not a key")])
+    assert sorted(os.listdir(tmp_path)) == ["pub.txt"]
+    assert (tmp_path / "pub.txt").read_text(encoding="ascii") == "kept\n"
