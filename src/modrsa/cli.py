@@ -221,7 +221,8 @@ def _cmd_keygen(args, stdin):
     from . import rsa
 
     pair = rsa.keygen(args.p, args.q, args.e)
-    files = [(path, key) for path, key in ((args.pub, pair.public_key), (args.priv, pair.private_key)) if path]
+    files = [(path, key) for path, key in ((args.pub, pair.public_key), (args.priv, pair.private_key))
+             if path is not None]
     if files:
         write_key_file(*files)
     return [f"{name} = {getattr(pair, name)}" for name in pair._fields]

@@ -34,19 +34,30 @@ def write_key_file(path, key) -> None:
 def write_key_files(pairs) -> None:
     """Write each (path, key) of pairs as write_key_file does, all or none of them: every key is staged in a
     temporary file beside its path before any path is replaced, and a failure before the first replace removes
-    every staged file. Only a failure between two replaces leaves the paths before it written."""
+    every staged file. Only a failure between two replaces leaves the paths before it written. An empty path,
+    and a path that names the same file as an earlier one (the same real directory and name), where one key
+    would overwrite the other, are refused before any replace."""
     import errno, tempfile  # here, not at the top, so only commands that write keys pay for tempfile's import
 
     staged = []  # (temporary, path) of each file not yet in place, in order
+    targets = {}  # (real directory, name) -> the first path given for it
     try:
         for path, key in pairs:
             kind = next((kind for kind, key_type in _SCHEMA.items() if isinstance(key, key_type)), None)
             if kind is None:
                 raise TypeError(f"expected PublicKey or PrivateKey, got {type(key).__name__}")
             fields = [("kind", kind)] + [(name, getattr(key, name)) for name in key._fields]
-            if os.path.isdir(path) and not os.path.islink(path):  # the replace would fail, after earlier ones
+            # a replace that would fail is refused here, before any replace
+            if not path:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+            if os.path.isdir(path) and not os.path.islink(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             directory, name = os.path.split(path)
+            # rename(2) replaces the name and follows no symlink there, so only the directory is resolved
+            target = (os.path.realpath(directory or os.curdir), name)
+            if target in targets:
+                raise KeyFileError(f"{path}: names the same file as {targets[target]}")
+            targets[target] = path
             fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or os.curdir)
             staged.append((tmp, path))
             with open(fd, "w", encoding="ascii", newline="") as fh:

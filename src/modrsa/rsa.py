@@ -94,12 +94,14 @@ def phi_semiprime(p: int, q: int) -> int:
     return (p - 1) * (q - 1)
 
 
-def _check_ints(key) -> None:
-    # n is left to check_modulus, which every key runs first
-    for name in key._fields:
-        value = getattr(key, name)
-        if name != "n" and value is not None:
+def _check_key(key, kind) -> None:
+    # n, then each other field that is given, in field order, then the floor of the exponent, the second field
+    modmath.check_modulus(key.n)
+    for name in key._fields[1:]:
+        if (value := getattr(key, name)) is not None:
             modmath._check_int(name, value)
+    if (exponent := getattr(key, key._fields[1])) <= 1:
+        raise ValueError(f"{kind} exponent must be > 1, got {_shown(exponent)}")
 
 
 class PublicKey(_Value, namedtuple("PublicKey", "n e")):
@@ -108,10 +110,7 @@ class PublicKey(_Value, namedtuple("PublicKey", "n e")):
     __slots__ = ()
 
     def __post_init__(self):
-        modmath.check_modulus(self.n)
-        _check_ints(self)
-        if self.e <= 1:
-            raise ValueError(f"public exponent must be > 1, got {_shown(self.e)}")
+        _check_key(self, "public")
 
     def _powers(self, values):  # values -> their e-th powers mod n, as PrivateKey._powers gives f-th
         e, n = self.e, self.n
@@ -132,10 +131,7 @@ class PrivateKey(_Value, namedtuple("PrivateKey", "n f p q phi", defaults=(None,
     """
 
     def __post_init__(self):
-        modmath.check_modulus(self.n)
-        _check_ints(self)
-        if self.f <= 1:
-            raise ValueError(f"private exponent must be > 1, got {_shown(self.f)}")
+        _check_key(self, "private")
         p, q, phi = self.p, self.q, self.phi
         for name, factor in (("p", p), ("q", q)):
             if factor is not None and not (1 < factor < self.n and self.n % factor == 0):
@@ -192,14 +188,15 @@ class RsaKeyPair(_Value, namedtuple("RsaKeyPair", "p q n phi e f")):
     """Everything keygen knows: primes, modulus, unit count, both exponents.
 
     The constructor re-checks the defining relations, so a key pair object
-    is always internally consistent no matter how it was built.
+    is always internally consistent no matter how it was built. Its private
+    key, built first and kept, checks n, f, p, q and phi: distinct primes,
+    n = p*q, phi = (p-1)(q-1) and gcd(f, phi) = 1. The pair then checks e
+    and the relations of the two exponents.
     """
 
     def __post_init__(self):
-        # the private key, built here and kept, checks distinct primes,
-        # n = p*q, phi = (p-1)(q-1) and gcd(f, phi) = 1
         self.private_key  # noqa: B018
-        _check_ints(self)
+        modmath._check_int("e", self.e)
         if not 1 < self.e < self.phi or not 1 < self.f < self.phi:
             raise ValueError("exponents must lie strictly between 1 and phi")
         if self.e * self.f % self.phi != 1:

@@ -1296,3 +1296,42 @@ class TestKeygenAllOrNothing:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
         assert sorted(os.listdir(tmp_path)) == ["priv.txt", "privdir", "pub.txt"]
         assert os.listdir(tmp_path / "privdir") == []
+
+
+class TestKeygenKeyPaths:
+    """keygen refuses one file named for both keys, and an empty --pub or --priv, before it writes either."""
+
+    KEYGEN = ["keygen", "--p", "11", "--q", "23", "--e", "3"]
+
+    @pytest.fixture
+    def key_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["keygen", "--p", "13", "--q", "17", "--e", "29", "--pub", "k.txt", "--priv", "priv.txt"])[0] == 0
+        (tmp_path / "d").symlink_to(".")
+        return tmp_path
+
+    @staticmethod
+    def _files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir() if not path.is_symlink()}
+
+    @pytest.mark.parametrize("files, named", [
+        (["--pub", "k.txt", "--priv", "k.txt"], ("k.txt", "k.txt")),
+        (["--pub", "k.txt", "--priv", "./k.txt"], ("./k.txt", "k.txt")),
+        (["--pub", "d/k.txt", "--priv", "k.txt"], ("k.txt", "d/k.txt")),
+    ], ids=["same-name", "dot-slash", "through-a-symlinked-directory"])
+    def test_one_file_for_both_keys_is_refused(self, files, named, key_dir):
+        before = self._files(key_dir)
+        assert run_cli([*self.KEYGEN, *files]) == (2, "", "error: {}: names the same file as {}\n".format(*named))
+        assert self._files(key_dir) == before
+        assert sorted(os.listdir(key_dir)) == ["d", "k.txt", "priv.txt"]
+
+    @pytest.mark.parametrize("files", [
+        ["--pub", "", "--priv", "new.txt"],
+        ["--pub", "new.txt", "--priv", ""],
+    ], ids=["empty-pub", "empty-priv"])
+    def test_an_empty_path_is_an_error_and_nothing_is_written(self, files, key_dir):
+        before = self._files(key_dir)
+        error = "error: : cannot write key file (No such file or directory)\n"
+        assert run_cli([*self.KEYGEN, *files]) == (2, "", error)
+        assert self._files(key_dir) == before
+        assert sorted(os.listdir(key_dir)) == ["d", "k.txt", "priv.txt"]

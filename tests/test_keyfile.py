@@ -318,3 +318,35 @@ def test_a_key_files_write_that_fails_before_any_replace_writes_none(tmp_path):
         write_key_files([(tmp_path / "pub.txt", PublicKey(221, 29)), (tmp_path / "priv.txt", "not a key")])
     assert sorted(os.listdir(tmp_path)) == ["pub.txt"]
     assert (tmp_path / "pub.txt").read_text(encoding="ascii") == "kept\n"
+
+
+@pytest.mark.parametrize("second", ["k.txt", "./k.txt", "d/k.txt"], ids=["same-name", "dot-slash", "symlinked-dir"])
+def test_key_files_naming_one_file_twice_are_refused_before_any_replace(second, tmp_path, monkeypatch):
+    from modrsa.keyfile import write_key_files
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").symlink_to(".")
+    (tmp_path / "k.txt").write_text("kept\n", encoding="ascii")
+    with pytest.raises(KeyFileError) as exc:
+        write_key_files([("k.txt", PublicKey(221, 29)), (second, PrivateKey(221, 53))])
+    assert str(exc.value) == f"{second}: names the same file as k.txt"
+    assert sorted(os.listdir(tmp_path)) == ["d", "k.txt"]
+    assert (tmp_path / "k.txt").read_text(encoding="ascii") == "kept\n"
+
+
+def test_key_files_through_a_symlink_to_another_target_are_two_files(tmp_path):
+    from modrsa.keyfile import write_key_files
+
+    (tmp_path / "link.txt").symlink_to("priv.txt")
+    write_key_files([(tmp_path / "link.txt", PublicKey(221, 29)), (tmp_path / "priv.txt", PrivateKey(221, 53))])
+    assert read_key_file(tmp_path / "link.txt") == PublicKey(221, 29)
+    assert read_key_file(tmp_path / "priv.txt") == PrivateKey(221, 53)
+
+
+def test_an_empty_key_path_is_refused_before_any_replace(tmp_path):
+    from modrsa.keyfile import write_key_files
+
+    with pytest.raises(KeyFileError) as exc:
+        write_key_files([(tmp_path / "pub.txt", PublicKey(221, 29)), ("", PrivateKey(221, 53))])
+    assert str(exc.value) == ": cannot write key file (No such file or directory)"
+    assert os.listdir(tmp_path) == []

@@ -745,3 +745,59 @@ class TestTransformStream:
         assert vars(key)["_powers"] is vars(key)["_tabled"]
         assert [decrypt(msg, key) for msg in messages] == got
         assert sign(messages[5], key) == sign(messages[5], fresh)
+
+
+class TestOneKeyCheck:
+    """rsa._check_key checks every key field once: n, then each other field's type, then the exponent's floor."""
+
+    def test_keygen_type_checks_each_field_once(self, monkeypatch):
+        checked = []
+        check_int = modmath._check_int
+        monkeypatch.setattr(modmath, "_check_int", lambda name, value: (checked.append(name), check_int(name, value)))
+        keygen(13, 17, 29)
+        fields = ("p", "q", "phi", "e", "f")
+        assert {name: checked.count(name) for name in fields} == {name: 1 for name in fields}
+
+    def test_only_check_key_and_message_validation_check_the_modulus(self):
+        tree = ast.parse(Path(rsa.__file__).read_text(encoding="utf-8"))
+        scopes = [(None, node) for node in tree.body]
+        scopes += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        callers = {
+            (owner, node.name) for owner, node in scopes if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and _callee(call) == "check_modulus" for call in ast.walk(node))
+        }
+        assert callers == {(None, "_check_key"), ("NumberMessage", "__post_init__")}
+
+    @pytest.mark.parametrize("cls", [PublicKey, PrivateKey])
+    def test_each_key_hook_is_one_check_key_call(self, cls, monkeypatch):
+        kinds = []
+        monkeypatch.setattr(rsa, "_check_key", lambda key, kind: kinds.append((type(key), kind)))
+        cls(221, 53)
+        assert kinds == [(cls, "public" if cls is PublicKey else "private")]
+
+    def test_a_key_pair_checks_no_key_itself(self, monkeypatch):
+        kinds = []
+        check_key = rsa._check_key
+        monkeypatch.setattr(rsa, "_check_key", lambda key, kind: (kinds.append(kind), check_key(key, kind)))
+        keygen(13, 17, 29)
+        assert kinds == ["private"]  # its private key's, and no public key is built
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: PublicKey(2**31, 1.5), InvalidModulusError, None),
+        (lambda: PublicKey(221, 1.5), TypeError, "e must be an int, got 1.5"),
+        (lambda: PublicKey(221, 1), ValueError, "public exponent must be > 1, got 1"),
+        (lambda: PrivateKey(221, 1, 13.0), TypeError, "p must be an int, got 13.0"),
+        (lambda: PrivateKey(221, 1, 13, 17), ValueError, "private exponent must be > 1, got 1"),
+        (lambda: RsaKeyPair(13, 17, 221, 192, 2.0, 53), TypeError, "e must be an int, got 2.0"),
+    ], ids=["public-modulus", "public-e-type", "public-e-floor", "private-type-before-floor", "private-f-floor",
+            "pair-e-type"])
+    def test_first_fault_is_reported(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error
+        if message is not None:
+            assert str(exc.value) == message
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
